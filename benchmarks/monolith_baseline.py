@@ -77,32 +77,26 @@ class MonolithManthan3:
                     reason="matrix forces universal x%d" % x,
                     witness=witness)
 
-        matrix_session = None
-        verifier_session = None
-        sessions = []
-        if config.incremental:
-            matrix_session = MatrixSession(instance.matrix,
-                                           rng=spawn(oracle_rng, 1))
-            verifier_session = VerifierSession(instance,
-                                               rng=spawn(oracle_rng, 2))
-            sessions = [("matrix", matrix_session),
-                        ("verifier", verifier_session)]
+        matrix_session = MatrixSession(instance.matrix,
+                                       rng=spawn(oracle_rng, 1))
+        verifier_session = VerifierSession(instance,
+                                           rng=spawn(oracle_rng, 2))
+        sessions = [("matrix", matrix_session),
+                    ("verifier", verifier_session)]
 
         def finish(status, **kwargs):
-            if config.incremental:
-                oracle = {name: session.stats()
-                          for name, session in sessions}
-                oracle["sampler"] = sampler.stats()
-                stats["oracle"] = oracle
+            oracle = {name: session.stats()
+                      for name, session in sessions}
+            oracle["sampler"] = sampler.stats()
+            stats["oracle"] = oracle
             return self._finish(status, stats, stopwatch, **kwargs)
 
         weighted = instance.existentials if config.adaptive_sampling else ()
         sampler = Sampler(instance.matrix, rng=spawn(rng, 1),
-                          weighted_vars=weighted,
-                          incremental=config.incremental)
+                          weighted_vars=weighted)
         samples = sampler.draw(config.num_samples, deadline=deadline,
                                conflict_budget=config.sat_conflict_budget,
-                               packed=config.bitparallel)
+                               packed=True)
         stats["samples"] = len(samples)
         if not samples:
             return finish(Status.FALSE,
@@ -121,8 +115,7 @@ class MonolithManthan3:
 
         order = find_order(instance, tracker)
 
-        cex_matrix = SampleMatrix(instance.universals) \
-            if config.bitparallel else None
+        cex_matrix = SampleMatrix(instance.universals)
         stagnation = 0
         repair_counts = {}
         non_repairable = dict(pre.fixed)

@@ -67,16 +67,16 @@ class SynthesisContext:
         passes this (not ``config``) to conflict-budgeted kernels.
     rng / oracle_rng:
         The run's root RNG and the oracle-session stream.  The oracle
-        stream is drawn unconditionally at construction so the
-        sampler/preprocess/loop streams are identical whether or not
+        stream is drawn at construction, before any phase spawns, so
+        the sampler/preprocess/loop streams do not depend on when the
         sessions are built.
     stats:
         The accumulated statistics dict — lives on the context (not in
         a phase) precisely so budget exhaustion cannot drop it.
     matrix_session / verifier_session / sessions / sampler / samples:
-        Oracle state: the persistent solvers (``None`` on the fresh
-        path), and the drawn sample set (a list of model dicts or a
-        packed :class:`~repro.formula.bitvec.SampleMatrix`).
+        Oracle state: the persistent solvers (``None`` until the sample
+        phase builds them), and the drawn sample set (a packed
+        :class:`~repro.formula.bitvec.SampleMatrix`).
     fixed:
         Preprocessing's final functions (``{y: BoolExpr}``).
     candidates / tracker / order:
@@ -105,10 +105,8 @@ class SynthesisContext:
         self.active_config = self.config
         self.stopwatch = Stopwatch()
         self.rng = make_rng(self.config.seed)
-        # Drawn unconditionally so the sampler/preprocess/loop streams
-        # below are identical whether or not sessions are built — the
-        # incremental and fresh paths then diverge only where solver
-        # persistence itself makes them diverge.
+        # Drawn here, first, so the sampler/preprocess/loop streams
+        # spawned later do not depend on the sessions.
         self.oracle_rng = spawn(self.rng, 5)
         self.stats = {"samples": 0, "repair_iterations": 0,
                       "candidates_learned": 0}

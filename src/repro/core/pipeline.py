@@ -119,21 +119,20 @@ def sample(ctx):
 
     Builds the oracle sessions first — so every oracle from here on,
     sampler included, is session-backed — then draws the training set.
-    With bitparallel the draw packs straight into a column-major
-    :class:`SampleMatrix`; the learner never sees a per-sample dict.
+    The draw packs straight into a column-major :class:`SampleMatrix`;
+    the learner never sees a per-sample dict.
     """
     build_sessions(ctx)
     config = ctx.config
     weighted = ctx.instance.existentials if config.adaptive_sampling else ()
     ctx.sampler = Sampler(ctx.instance.matrix, rng=ctx.spawn(1),
                           weighted_vars=weighted,
-                          incremental=config.incremental,
                           backend=config.sat_backend,
                           fallbacks=config.sat_backend_fallbacks)
     ctx.samples = ctx.sampler.draw(config.num_samples,
                                    deadline=ctx.deadline,
                                    conflict_budget=ctx.conflict_budget,
-                                   packed=config.bitparallel)
+                                   packed=True)
     ctx.stats["samples"] = len(ctx.samples)
     if not ctx.samples:
         # ϕ itself is unsatisfiable: no X has a Y extension.
@@ -161,8 +160,7 @@ def verify_repair(ctx):
         return Finish(Status.TIMEOUT,
                       reason="pipeline truncated before the "
                              "verify-repair loop")
-    ctx.cex_matrix = SampleMatrix(instance.universals) \
-        if config.bitparallel else None
+    ctx.cex_matrix = SampleMatrix(instance.universals)
     ctx.stagnation = 0
     ctx.repair_counts = {}
     ctx.non_repairable = dict(ctx.fixed)

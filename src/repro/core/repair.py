@@ -21,8 +21,9 @@ candidate vector's outputs on σ[X] after every successful repair, which
 keeps the Ŷ constraints of subsequent ``Gk`` formulas consistent with the
 already-repaired functions (the stale-slot variant can chase its own
 tail).  The worked example of §5 behaves identically under both.  The
-re-evaluation is *partial* (:func:`refresh_vector`): only ``yk`` and the
-variables ordered before it can be affected by the repair.
+re-evaluation is *partial*
+(:func:`~repro.formula.bitvec.refresh_vector_bits`): only ``yk`` and
+the variables ordered before it can be affected by the repair.
 """
 
 from collections import deque
@@ -30,7 +31,7 @@ from collections import deque
 from repro.formula import boolfunc as bf
 from repro.formula.bitvec import evaluate_vector_bits, refresh_vector_bits
 from repro.maxsat import solve_maxsat
-from repro.sat.solver import Solver, SAT, UNSAT
+from repro.sat.solver import SAT, UNSAT
 from repro.utils.errors import ResourceBudgetExceeded
 from repro.utils.rng import spawn
 
@@ -54,29 +55,13 @@ def run_repair(ctx, sigma_x):
 
 
 def evaluate_vector(candidates, order, x_assignment):
-    """Candidate outputs on one X assignment, honoring composition order."""
-    env = dict(x_assignment)
-    for y in reversed(order):
-        env[y] = candidates[y].evaluate(env)
-    return {y: env[y] for y in order}
+    """Candidate outputs on one X assignment, honoring composition order.
 
-
-def refresh_vector(candidates, order, outputs, x_assignment, yk):
-    """Candidate outputs after only ``candidates[yk]`` changed.
-
-    Evaluation runs over ``reversed(order)``, so a variable can only
-    read the outputs of variables *later* in ``order`` — a repair of
-    ``yk`` can change nothing at positions after it.  Re-evaluating
-    ``yk`` and the positions before it (against the existing outputs
-    for the rest) therefore yields exactly :func:`evaluate_vector` of
-    the full vector, at a fraction of the cost: the old code paid the
-    full composition order after *every* single repair, O(n²) per
-    counterexample.
+    The scalar reference for
+    :func:`~repro.formula.bitvec.evaluate_vector_bits`.
     """
     env = dict(x_assignment)
-    env.update(outputs)
-    for i in range(order.index(yk), -1, -1):
-        y = order[i]
+    for y in reversed(order):
         env[y] = candidates[y].evaluate(env)
     return {y: env[y] for y in order}
 
@@ -98,35 +83,31 @@ def find_repair_candidates(instance, sigma_x, outputs, repairable, config,
 
 
 def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
-                     fixed=(), rng=None, deadline=None, repair_counts=None,
-                     matrix_session=None, cex_matrix=None):
+                     *, matrix_session, cex_matrix, fixed=(), rng=None,
+                     deadline=None, repair_counts=None):
     """Process one counterexample; mutates ``candidates``.
 
     Returns the number of candidate functions modified (0 signals the
     incompleteness condition of §5 when it persists).  When
     ``repair_counts`` (a dict) is supplied, per-candidate modification
     counts are accumulated into it — the engine uses them to trigger the
-    self-substitution fallback.  With ``matrix_session`` the ``Gk``
-    checks are assumption queries against the engine's persistent
-    ϕ-solver instead of a throwaway per-iteration solver.
+    self-substitution fallback.  The ``Gk`` checks are assumption
+    queries against ``matrix_session``, the engine's persistent
+    ϕ-solver.
 
-    With ``cex_matrix`` (a :class:`~repro.formula.bitvec.SampleMatrix`
-    over the universal variables, owned by the engine) σ is appended as
-    a row and the candidate-vector evaluations run bit-parallel over the
+    ``cex_matrix`` (a :class:`~repro.formula.bitvec.SampleMatrix` over
+    the universal variables, owned by the engine) gets σ appended as a
+    row, and the candidate-vector evaluations run bit-parallel over the
     *whole* batch of counterexamples seen so far — one bitwise op per
     DAG node regardless of batch width — with this σ's outputs read off
-    its bit position.  The booleans driving repair are identical to the
-    per-assignment path.
+    its bit position.
     """
     fixed = set(fixed)
     index_of = {y: i for i, y in enumerate(order)}
     y_set = set(instance.existentials)
-    if cex_matrix is not None:
-        cex_row = cex_matrix.append(sigma_x)
-        output_bits = evaluate_vector_bits(candidates, order, cex_matrix)
-        outputs = {y: bool((output_bits[y] >> cex_row) & 1) for y in order}
-    else:
-        outputs = evaluate_vector(candidates, order, sigma_x)
+    cex_row = cex_matrix.append(sigma_x)
+    output_bits = evaluate_vector_bits(candidates, order, cex_matrix)
+    outputs = {y: bool((output_bits[y] >> cex_row) & 1) for y in order}
 
     repairable = [y for y in instance.existentials if y not in fixed]
     ind = find_repair_candidates(instance, sigma_x, outputs, repairable,
@@ -137,8 +118,6 @@ def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
     processed = set()
     modified = 0
 
-    solver = None if matrix_session is not None \
-        else Solver(instance.matrix, rng=rng)
     while queue:
         if deadline is not None:
             deadline.check()
@@ -159,17 +138,11 @@ def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
         yk_lit = yk if outputs[yk] else -yk
         assumptions.append(yk_lit)
 
-        if matrix_session is not None:
-            status = matrix_session.solve(
-                assumptions, purpose="repair", deadline=deadline,
-                conflict_budget=config.sat_conflict_budget)
-            oracle = matrix_session
-        else:
-            status = solver.solve(assumptions=assumptions, deadline=deadline,
-                                  conflict_budget=config.sat_conflict_budget)
-            oracle = solver
+        status = matrix_session.solve(
+            assumptions, purpose="repair", deadline=deadline,
+            conflict_budget=config.sat_conflict_budget)
         if status == UNSAT:
-            core = set(oracle.core)
+            core = set(matrix_session.core)
             core.discard(yk_lit)
             if not core:
                 # Empty β: this candidate cannot be repaired from this
@@ -186,16 +159,12 @@ def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
             modified += 1
             if repair_counts is not None:
                 repair_counts[yk] = repair_counts.get(yk, 0) + 1
-            if cex_matrix is not None:
-                output_bits = refresh_vector_bits(candidates, order,
-                                                  output_bits, cex_matrix, yk)
-                outputs = {y: bool((output_bits[y] >> cex_row) & 1)
-                           for y in order}
-            else:
-                outputs = refresh_vector(candidates, order, outputs,
-                                         sigma_x, yk)
+            output_bits = refresh_vector_bits(candidates, order,
+                                              output_bits, cex_matrix, yk)
+            outputs = {y: bool((output_bits[y] >> cex_row) & 1)
+                       for y in order}
         elif status == SAT:
-            rho = oracle.model
+            rho = matrix_session.model
             for yt in instance.existentials:
                 if yt in y_hat or yt == yk:
                     continue

@@ -1,10 +1,10 @@
 """Incremental oracle sessions: the persistent solvers behind the loop.
 
-The verify–repair loop is oracle-bound, and every oracle in the fresh
-path pays full price: a new Tseitin encoding and a new CDCL solver per
-call, discarding learnt clauses, VSIDS activity, and phase state each
-time.  This module keeps **two long-lived solver sessions** per engine
-run instead (MiniSat-style incremental solving under assumptions):
+The verify–repair loop is oracle-bound, and a fresh oracle per call
+pays full price: a new Tseitin encoding and a new CDCL solver,
+discarding learnt clauses, VSIDS activity, and phase state each time.
+This module keeps **two long-lived solver sessions** per engine run
+instead (MiniSat-style incremental solving under assumptions):
 
 * :class:`VerifierSession` — one persistent solver for the error
   formula ``E(X, Y') = ¬ϕ ∧ ⋀(y ↔ f_y)``.  ``¬ϕ`` is encoded once,
@@ -22,9 +22,10 @@ run instead (MiniSat-style incremental solving under assumptions):
   pay for it.
 
 Both sessions expose ``stats()`` so the engine can report per-oracle
-call/conflict/encode-reuse counters.  The fresh-solver path
-(``Manthan3Config.incremental=False``) bypasses this module entirely,
-which is what the equivalence suite tests against.
+call/conflict/encode-reuse counters.  They are the engine's only
+oracle path; the session-free kernels (``verify_candidates`` and
+``detect_unates`` called without sessions) remain as the references
+the session tests compare against.
 
 Both sessions are written against the :class:`~repro.sat.backend.
 SatBackend` protocol, not the concrete CDCL: ``Manthan3Config.
@@ -62,14 +63,11 @@ _ORACLE_FAILURES = (BackendUnavailableError, MemoryError)
 def build_sessions(ctx):
     """Attach the run's oracle sessions to the synthesis context.
 
-    A no-op on the fresh path (``config.incremental=False``); otherwise
-    builds one :class:`MatrixSession` and one :class:`VerifierSession`
+    Builds one :class:`MatrixSession` and one :class:`VerifierSession`
     on the configured SAT backend, seeded from the context's dedicated
     oracle stream, so the root sampler/preprocess/loop streams are
-    untouched either way.
+    untouched.
     """
-    if not ctx.config.incremental:
-        return
     backend = ctx.config.sat_backend
     fallbacks = ctx.config.sat_backend_fallbacks
     ctx.matrix_session = MatrixSession(ctx.instance.matrix,
@@ -340,9 +338,9 @@ class MatrixSession:
 
         ``ϕw`` is ``ϕ`` plus the units committed so far — the primed
         side sees them through the assumed equality selectors, so the
-        check matches the fresh path's working-matrix semantics.
-        Returns ``True`` only on a definitive UNSAT (an exhausted
-        budget is *not* unate, as in the fresh path).
+        check matches the session-free cofactor check's working-matrix
+        semantics.  Returns ``True`` only on a definitive UNSAT (an
+        exhausted budget is *not* unate, as in the cofactor check).
 
         The retry loop is unate-specific: the query's assumptions name
         dual-rail variables that a failover invalidates, so each retry

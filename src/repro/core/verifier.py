@@ -6,18 +6,17 @@ variables (composition is resolved at substitution time, line 19).  The
 matrix's own Y variables serve as Y′: each is tied to its candidate's
 Tseitin output, so a model δ of E directly yields δ[X] and δ[Y′].
 
-Two execution paths share this module:
+The engine passes its sessions: ``session`` is a long-lived
+:class:`~repro.core.sessions.VerifierSession` that re-encodes only
+repaired candidates, and ``matrix_session`` answers the extension check
+by assumptions against its persistent ϕ-solver.
 
-* **Incremental** (the default): ``session`` is a long-lived
-  :class:`~repro.core.sessions.VerifierSession` that re-encodes only
-  repaired candidates, and ``matrix_session`` answers the extension
-  check by assumptions against its persistent ϕ-solver.
-* **Fresh fallback** (``Manthan3Config.incremental=False``): each round
-  Tseitin-encodes the whole vector and builds throwaway solvers, as the
-  seed implementation did.  The two SAT calls get *independent* RNG
-  streams spawned from ``rng`` — sharing one stream would make the
-  extension check's randomness depend on how many branches the E-check
-  happened to take.
+Called without sessions, each round Tseitin-encodes the whole vector
+and builds throwaway solvers — the session-free reference that the
+session tests and the Pedant-like baseline use.  The two SAT calls then
+get *independent* RNG streams spawned from ``rng`` — sharing one stream
+would make the extension check's randomness depend on how many branches
+the E-check happened to take.
 """
 
 from repro.formula.cnf import CNF
@@ -78,8 +77,8 @@ def verify_candidates(instance, candidates, rng=None, deadline=None,
     """Run the two SAT checks of the verification phase.
 
     With ``session``/``matrix_session`` the oracles are incremental
-    queries against persistent solvers; without them fresh solvers are
-    built (the fallback path).  Raises :class:`ResourceBudgetExceeded`
+    queries against persistent solvers; without them throwaway solvers
+    are built (the session-free reference).  Raises :class:`ResourceBudgetExceeded`
     when an oracle call exhausts its budget (the engine maps this to
     TIMEOUT).
     """
@@ -111,7 +110,7 @@ def verify_candidates(instance, candidates, rng=None, deadline=None,
             conflict_budget=conflict_budget)
         pi = matrix_session.model
     else:
-        if ext_rng is None:  # session E-check with fresh extension check
+        if ext_rng is None:  # session E-check, no matrix session
             ext_rng = spawn(make_rng(rng), 2)
         ext_solver = Solver(instance.matrix, rng=ext_rng)
         ext_status = ext_solver.solve(assumptions=assumptions,

@@ -38,6 +38,23 @@ class CertificateResult:
                                                            self.reason)
 
 
+def _check_shape(instance, functions):
+    """The syntactic side of both Henkin checkers: every existential has
+    a function, and each ``f_i`` mentions only ``H_i``.  Returns the
+    failing :class:`CertificateResult`, or ``None`` when both hold."""
+    missing = [y for y in instance.existentials if y not in functions]
+    if missing:
+        return CertificateResult(False, "missing functions for %r" % missing)
+    for y in instance.existentials:
+        illegal = functions[y].support() - instance.dependencies[y]
+        if illegal:
+            return CertificateResult(
+                False,
+                "f_%d mentions %r outside its dependency set" %
+                (y, sorted(illegal)))
+    return None
+
+
 def check_henkin_vector(instance, functions, deadline=None,
                         conflict_budget=None, rng=None):
     """Check a claimed Henkin vector against a DQBF instance.
@@ -49,19 +66,9 @@ def check_henkin_vector(instance, functions, deadline=None,
     functions:
         ``{y: BoolExpr}`` — one function per existential of the instance.
     """
-    missing = [y for y in instance.existentials if y not in functions]
-    if missing:
-        return CertificateResult(False, "missing functions for %r" % missing)
-
-    for y in instance.existentials:
-        support = functions[y].support()
-        illegal = support - instance.dependencies[y]
-        if illegal:
-            return CertificateResult(
-                False,
-                "f_%d mentions %r outside its dependency set" %
-                (y, sorted(illegal)))
-
+    rejected = _check_shape(instance, functions)
+    if rejected is not None:
+        return rejected
     cnf, y_lits = encode_verification_formula(instance, functions)
     solver = Solver(cnf, rng=rng)
     status = solver.solve(deadline=deadline, conflict_budget=conflict_budget)
@@ -92,19 +99,9 @@ def check_henkin_vector_incremental(instance, functions, deadline=None,
     this path.  ``conflict_budget`` bounds the *total* conflicts across
     all clause checks.
     """
-    missing = [y for y in instance.existentials if y not in functions]
-    if missing:
-        return CertificateResult(False, "missing functions for %r" % missing)
-
-    for y in instance.existentials:
-        support = functions[y].support()
-        illegal = support - instance.dependencies[y]
-        if illegal:
-            return CertificateResult(
-                False,
-                "f_%d mentions %r outside its dependency set" %
-                (y, sorted(illegal)))
-
+    rejected = _check_shape(instance, functions)
+    if rejected is not None:
+        return rejected
     cnf = CNF(num_vars=instance.matrix.num_vars)
     encoder = TseitinEncoder(cnf)
     for y in instance.existentials:

@@ -183,12 +183,6 @@ ENGINE_SPECS = {spec.name: spec for spec in (
         "manthan3",
         description="full pipeline: incremental sessions + bit-parallel"),
     PipelineEngineSpec(
-        "manthan3-fresh", overrides={"incremental": False},
-        description="fresh-solver fallback (oracle-session A/B baseline)"),
-    PipelineEngineSpec(
-        "manthan3-rowwise", overrides={"bitparallel": False},
-        description="dict-row learning (bit-parallel A/B baseline)"),
-    PipelineEngineSpec(
         "manthan3-emulated",
         overrides={"sat_backend": "python-emulated"},
         description="oracle on the selector-emulated group layer "

@@ -20,6 +20,11 @@ _FALLBACK_WARNED = set()
 class Sampler:
     """Draw satisfying assignments of a CNF.
 
+    One solver is kept across draws: learnt clauses and branching
+    activity persist, and each draw only re-seeds the solver's RNG and
+    refreshes the polarity weights — diversity comes from the
+    randomized polarity/branching, not from rebuilding.
+
     Parameters
     ----------
     cnf:
@@ -35,13 +40,6 @@ class Sampler:
     bias_floor / bias_ceiling:
         Clamp for adapted weights; Manthan uses 0.1/0.9 so no variable is
         ever sampled one-sidedly.
-    incremental:
-        Keep **one** solver across draws (the default): learnt clauses
-        and branching activity persist, and each draw only re-seeds the
-        solver's RNG and refreshes the polarity weights — diversity
-        comes from the randomized polarity/branching, not from
-        rebuilding.  ``False`` restores the fresh-solver-per-draw
-        fallback.
     backend:
         :mod:`repro.sat.backend` name of the sampling oracle.  Sampling
         needs the weighted-polarity heuristics, so a backend that does
@@ -61,7 +59,7 @@ class Sampler:
     """
 
     def __init__(self, cnf, rng=None, weighted_vars=(), pilot=10,
-                 bias_floor=0.1, bias_ceiling=0.9, incremental=True,
+                 bias_floor=0.1, bias_ceiling=0.9,
                  backend="python", fallbacks=()):
         self.cnf = cnf
         self.rng = make_rng(rng)
@@ -69,7 +67,6 @@ class Sampler:
         self.pilot = pilot
         self.bias_floor = bias_floor
         self.bias_ceiling = bias_ceiling
-        self.incremental = incremental
         if "weighted_polarity" in backend_capabilities(backend):
             self.backend = backend
             self.backend_fallback = None
@@ -103,9 +100,7 @@ class Sampler:
         )
 
     def _solver_for(self, salt):
-        """The draw's solver: persistent (rerandomized) or fresh."""
-        if not self.incremental:
-            return self._build_solver(spawn(self.rng, salt))
+        """The draw's solver: the persistent one, rerandomized."""
         if self._solver is None:
             self._solver = self._build_solver(spawn(self.rng, salt))
         else:
@@ -124,23 +119,21 @@ class Sampler:
         ``exc`` once the chain is exhausted.
         """
         dead, self._solver = self._solver, None
-        rng = getattr(dead, "rng", None) if dead is not None else None
-        if dead is not None:
-            try:
-                self._retired_conflicts += dead.stats()["conflicts"]
-            except Exception:
-                pass
+        rng = getattr(dead, "rng", None)
+        try:
+            self._retired_conflicts += dead.stats()["conflicts"]
+        except Exception:
+            pass
         while self._fallbacks:
             name = self._fallbacks.pop(0)
             if "weighted_polarity" not in backend_capabilities(name):
                 continue
             self.backend = name
-            if self.incremental:
-                try:
-                    self._solver = self._build_solver(
-                        rng if rng is not None else spawn(self.rng, 0))
-                except BackendUnavailableError:
-                    continue
+            try:
+                self._solver = self._build_solver(
+                    rng if rng is not None else spawn(self.rng, 0))
+            except BackendUnavailableError:
+                continue
             self.failovers += 1
             return
         raise exc
@@ -180,26 +173,14 @@ class Sampler:
                     status = solver.solve(conflict_budget=conflict_budget,
                                           deadline=deadline)
                 except _ORACLE_FAILURES as exc:
-                    rng = getattr(solver, "rng", None)
-                    if not self.incremental:
-                        self._solver = solver  # let _failover bank it
                     self._failover(exc)
                     # Retry on the replacement at the *same* RNG stream
                     # position — the draw consumes no extra parent
                     # entropy, so a recovered run replays the
                     # fault-free sample stream exactly.
-                    if self.incremental:
-                        solver = self._solver
-                    elif rng is not None:
-                        solver = self._build_solver(rng)
-                    else:
-                        solver = self._solver_for(i)
+                    solver = self._solver
                     continue
                 break
-            if not self.incremental:
-                # Fresh solvers die with the draw; bank their conflicts
-                # so both modes report comparable oracle work.
-                self._retired_conflicts += solver.stats()["conflicts"]
             if status == UNSAT:
                 break
             if status != SAT:
@@ -209,11 +190,10 @@ class Sampler:
         return samples
 
     def stats(self):
-        """Oracle counters: calls and conflicts (both modes).
+        """Oracle counters: calls and conflicts.
 
-        ``conflicts`` accumulates across fresh solvers in
-        ``incremental=False`` mode and reads the live solver otherwise,
-        so the two modes report comparable totals.
+        ``conflicts`` reads the live solver plus whatever solvers lost
+        to a failover had already spent.
         """
         conflicts = self._retired_conflicts
         if self._solver is not None:
@@ -225,10 +205,9 @@ class Sampler:
 
 
 def sample_models(cnf, count, rng=None, weighted_vars=(), deadline=None,
-                  conflict_budget=None, incremental=True,
-                  backend="python"):
+                  conflict_budget=None, backend="python"):
     """One-shot convenience wrapper around :class:`Sampler`."""
     sampler = Sampler(cnf, rng=rng, weighted_vars=weighted_vars,
-                      incremental=incremental, backend=backend)
+                      backend=backend)
     return sampler.draw(count, deadline=deadline,
                         conflict_budget=conflict_budget)

@@ -64,8 +64,7 @@ harness (``tests/sat/test_backend_differential.py``) replays identical
 incremental scripts against every installed backend and checks each
 answer against the formula itself, and the trajectory suite
 (``tests/core/test_backend_trajectory.py``) pins engine- and
-campaign-level equivalence the same way ``manthan3-fresh`` and
-``manthan3-rowwise`` are kept honest.
+campaign-level equivalence.
 """
 
 from repro.sat.solver import SAT, UNSAT, UNKNOWN, Solver

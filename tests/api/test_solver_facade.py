@@ -54,7 +54,7 @@ class TestSolveEquivalence:
     def test_registry_engine_equivalence(self):
         # pec: small enough for the expansion baseline too.
         inst = _suite()[4]
-        for name in ("manthan3-fresh", "manthan3-nopre", "expansion"):
+        for name in ("manthan3-emulated", "manthan3-nopre", "expansion"):
             old = make_engine(name, 7).run(inst, timeout=60)
             new = Solver(name, seed=7).solve(inst, timeout=60)
             assert new.status == old.status, name
@@ -75,10 +75,10 @@ class TestSolveEquivalence:
     def test_config_and_overrides_routes(self):
         inst = _suite()[0]
         via_config = Solver("manthan3",
-                            config=Manthan3Config(seed=7,
-                                                  incremental=False))
+                            config=Manthan3Config(
+                                seed=7, use_self_substitution=False))
         via_overrides = Solver("manthan3", seed=7,
-                               overrides={"incremental": False})
+                               overrides={"use_self_substitution": False})
         a = via_config.solve(inst, timeout=60)
         b = via_overrides.solve(inst, timeout=60)
         assert a.status == b.status
@@ -94,7 +94,7 @@ class TestBatchEquivalence:
         # Two pipeline engines: the baselines either blow up (expansion)
         # or time out (pedant) on the planted family.
         instances = _suite()
-        engines = ["manthan3", "manthan3-fresh"]
+        engines = ["manthan3", "manthan3-emulated"]
         old = run_campaign(instances, engines, timeout=60, seed=3)
         batch = solve_batch(instances, engines, timeout=60, seed=3)
         for inst in instances:
@@ -182,7 +182,7 @@ class TestSolverHandle:
 
     def test_customizing_a_baseline_is_rejected(self):
         with pytest.raises(ReproError, match="not a pipeline engine"):
-            Solver("expansion", overrides={"incremental": False})
+            Solver("expansion", overrides={"use_self_substitution": False})
 
     def test_config_excludes_seed_and_overrides(self):
         with pytest.raises(ReproError, match="not both"):
@@ -221,7 +221,8 @@ class TestSolverHandle:
         assert Solver("manthan3")._portfolio_entry() == "manthan3"
         seeded = Solver("manthan3", seed=1)
         assert seeded._portfolio_entry() is seeded.engine
-        custom = Solver("manthan3", overrides={"incremental": False})
+        custom = Solver("manthan3",
+                        overrides={"use_self_substitution": False})
         assert custom._portfolio_entry() is custom.engine
         # A renamed solver must ship the engine object: its display
         # name is not in the registry.

@@ -111,9 +111,9 @@ class TestMatrixSessionFailover:
 class TestSamplerFailover:
     CNF_2SAT = [[1, 2], [-1, 2]]          # forces var 2 True
 
-    def _sampler(self, backend, fallbacks=(), **kwargs):
+    def _sampler(self, backend, fallbacks=()):
         return Sampler(CNF(self.CNF_2SAT), rng=3, weighted_vars=[1, 2],
-                       backend=backend, fallbacks=fallbacks, **kwargs)
+                       backend=backend, fallbacks=fallbacks)
 
     def test_incremental_failover_replays_fault_free_stream(
             self, monkeypatch):
@@ -127,16 +127,6 @@ class TestSamplerFailover:
         stats = sampler.stats()
         assert stats["backend"] == "python"
         assert stats["failovers"] == 1
-
-    def test_fresh_mode_failover_replays_fault_free_stream(
-            self, monkeypatch):
-        monkeypatch.delenv(PLAN_ENV, raising=False)
-        reference = self._sampler("python", incremental=False).draw(6)
-        monkeypatch.setenv(PLAN_ENV, "solve@1=memory")
-        sampler = self._sampler("faulty:python", fallbacks=["python"],
-                                incremental=False)
-        assert sampler.draw(6) == reference
-        assert sampler.failovers == 1
 
     def test_non_capable_chain_entries_are_skipped(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "solve@1=unavailable")

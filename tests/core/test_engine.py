@@ -103,6 +103,19 @@ class TestConfig:
         with pytest.raises(AttributeError):
             config.replaced(nonexistent=1)
 
+    def test_removed_engine_forks_fail_loudly(self):
+        """The fresh-oracle and row-wise paths are gone; selecting them
+        must error, not silently run the default engine."""
+        from repro.api import Solver
+        from repro.utils.errors import ReproError
+
+        with pytest.raises(TypeError, match="incremental"):
+            Manthan3Config(incremental=False)
+        with pytest.raises(TypeError, match="bitparallel"):
+            Solver("manthan3", overrides={"bitparallel": False})
+        with pytest.raises(ReproError, match="unknown engine"):
+            Solver("manthan3-fresh")
+
     def test_stats_populated(self, paper_example_instance):
         result = synthesize(paper_example_instance, timeout=60)
         assert result.stats["samples"] > 0

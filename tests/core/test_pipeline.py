@@ -5,8 +5,7 @@ results, and the declarative engine specs.
 Trajectory equivalence is the refactor's acceptance contract: the
 staged pipeline must reproduce the PR 3 monolith's statuses AND
 functions exactly (same RNG spawn sequence, same oracle calls), across
-the planted/controller/pec families, on both the incremental and fresh
-paths, at engine and campaign level.
+the planted/controller/pec families, at engine and campaign level.
 """
 
 import pytest
@@ -27,6 +26,7 @@ from repro.core import (
     synthesize,
 )
 from repro.core.pipeline import PHASES
+from repro.core.sessions import build_sessions
 from repro.dqbf import check_henkin_vector
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
@@ -61,41 +61,22 @@ def _suite():
 class TestTrajectoryEquivalence:
     """Staged pipeline ≡ PR 3 monolith: statuses AND functions."""
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_engine_level(self, incremental):
+    def test_engine_level(self):
         for inst in _suite():
-            config = Manthan3Config(seed=9, incremental=incremental)
-            staged = Manthan3(config).run(inst, timeout=60)
-            mono = MonolithManthan3(
-                Manthan3Config(seed=9,
-                               incremental=incremental)).run(inst,
-                                                             timeout=60)
+            staged = Manthan3(Manthan3Config(seed=9)).run(inst, timeout=60)
+            mono = MonolithManthan3(Manthan3Config(seed=9)).run(inst,
+                                                                timeout=60)
             assert staged.status == mono.status, inst.name
             assert staged.functions == mono.functions, inst.name
-
-    def test_rowwise_path(self):
-        inst = generate_planted_instance(
-            num_universals=14, num_existentials=3, dep_width=12,
-            region_width=3, rules_per_y=4, seed=47)
-        config = Manthan3Config(seed=9, bitparallel=False)
-        staged = Manthan3(config).run(inst, timeout=60)
-        mono = MonolithManthan3(
-            Manthan3Config(seed=9, bitparallel=False)).run(inst,
-                                                           timeout=60)
-        assert staged.status == mono.status
-        assert staged.functions == mono.functions
 
     def test_campaign_level(self):
         """Campaign over the suite matches per-job-seeded monolith runs
         record for record."""
         suite = _suite()
-        table = run_campaign(suite, ["manthan3", "manthan3-fresh"],
-                             timeout=60, seed=3)
+        table = run_campaign(suite, ["manthan3"], timeout=60, seed=3)
         for record in table.records:
-            incremental = record.engine == "manthan3"
             config = Manthan3Config(
-                seed=derive_job_seed(3, record.engine, record.instance),
-                incremental=incremental)
+                seed=derive_job_seed(3, record.engine, record.instance))
             inst = next(i for i in suite if i.name == record.instance)
             mono = MonolithManthan3(config).run(inst, timeout=60)
             assert record.status == mono.status, \
@@ -252,10 +233,10 @@ class TestPhaseBudgets:
 
         inst = make([1, 2], {3: [1, 2]},
                     [[-3, 1, 2], [3, -1], [3, -2]])        # y ↔ (x1 ∨ x2)
-        config = Manthan3Config(seed=3, incremental=False,
-                                use_self_substitution=False)
+        config = Manthan3Config(seed=3, use_self_substitution=False)
         deadline = FlipDeadline()
         ctx = SynthesisContext(inst, config, deadline=deadline)
+        build_sessions(ctx)
         ctx.candidates = {3: bf.FALSE}
         ctx.tracker = DependencyTracker(inst.existentials)
         ctx.order = [3]

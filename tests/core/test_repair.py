@@ -7,14 +7,23 @@ from repro.core.repair import (
     find_repair_candidates,
     repair_iteration,
 )
+from repro.core.sessions import MatrixSession
 from repro.core.verifier import verify_candidates
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
+from repro.formula.bitvec import SampleMatrix, refresh_vector_bits
 from repro.formula.cnf import CNF
 
 
 def make(universals, deps, clauses):
     return DQBFInstance(universals, deps, CNF(clauses))
+
+
+def oracles(inst):
+    """The loop state ``repair_iteration`` runs against: a persistent
+    ϕ-session and the counterexample matrix (one per repair loop)."""
+    return {"matrix_session": MatrixSession(inst.matrix),
+            "cex_matrix": SampleMatrix(inst.universals)}
 
 
 class TestEvaluateVector:
@@ -61,7 +70,8 @@ class TestRepairIteration:
         candidates = {2: bf.FALSE}
         tracker = DependencyTracker(inst.existentials)
         modified = repair_iteration(inst, candidates, tracker, [2],
-                                    {1: True}, Manthan3Config())
+                                    {1: True}, Manthan3Config(),
+                                    **oracles(inst))
         assert modified == 1
         assert candidates[2].evaluate({1: True})
 
@@ -72,12 +82,13 @@ class TestRepairIteration:
         candidates = {3: bf.FALSE}
         tracker = DependencyTracker(inst.existentials)
         config = Manthan3Config()
+        loop = oracles(inst)
         for _ in range(10):
             outcome = verify_candidates(inst, candidates)
             if outcome.verdict == "VALID":
                 break
             repair_iteration(inst, candidates, tracker, [3],
-                             outcome.sigma_x, config)
+                             outcome.sigma_x, config, **loop)
         assert verify_candidates(inst, candidates).verdict == "VALID"
 
     def test_fixed_candidates_never_touched(self):
@@ -87,7 +98,7 @@ class TestRepairIteration:
         tracker = DependencyTracker(inst.existentials)
         before = candidates[3]
         repair_iteration(inst, candidates, tracker, [2, 3], {1: True},
-                         Manthan3Config(), fixed={3})
+                         Manthan3Config(), fixed={3}, **oracles(inst))
         assert candidates[3] is before
 
     def test_stagnation_on_limitation_example(
@@ -99,7 +110,8 @@ class TestRepairIteration:
         outcome = verify_candidates(inst, candidates)
         assert outcome.verdict == "COUNTEREXAMPLE"
         modified = repair_iteration(inst, candidates, tracker, [4, 5],
-                                    outcome.sigma_x, Manthan3Config())
+                                    outcome.sigma_x, Manthan3Config(),
+                                    **oracles(inst))
         assert modified == 0  # the paper's incompleteness case
 
     def test_yhat_constraint_enables_repair(self):
@@ -112,18 +124,23 @@ class TestRepairIteration:
         candidates = {2: bf.FALSE, 3: bf.FALSE}
         tracker = DependencyTracker(inst.existentials)
         config = Manthan3Config()
+        loop = oracles(inst)
         for _ in range(8):
             outcome = verify_candidates(inst, candidates)
             if outcome.verdict == "VALID":
                 break
             repair_iteration(inst, candidates, tracker, [2, 3],
-                             outcome.sigma_x, config)
+                             outcome.sigma_x, config, **loop)
         assert verify_candidates(inst, candidates).verdict == "VALID"
 
 
+def _bit(bits, row=0):
+    return {y: bool((b >> row) & 1) for y, b in bits.items()}
+
+
 class TestRefreshVector:
-    """Partial re-evaluation after a single repair must agree with the
-    full composition-order re-evaluation it replaces."""
+    """Repair's partial packed re-evaluation after a single repair must
+    agree with the full scalar composition-order re-evaluation."""
 
     def test_matches_full_reevaluation(self):
         import random
@@ -141,27 +158,29 @@ class TestRefreshVector:
                                  for v in picks])
                 candidates[y] = expr if rng.random() < 0.7 else bf.not_(expr)
             sigma_x = {v: rng.random() < 0.5 for v in x_vars}
-            outputs = evaluate_vector(candidates, order, sigma_x)
+            matrix = SampleMatrix.from_models([sigma_x])
+            outputs = {y: int(value) for y, value in
+                       evaluate_vector(candidates, order, sigma_x).items()}
             # Repair an arbitrary candidate, then refresh partially.
             yk = rng.choice(order)
             beta = bf.lit(rng.choice(x_vars))
             candidates[yk] = bf.and_(candidates[yk], bf.not_(beta)) \
                 if rng.random() < 0.5 else bf.or_(candidates[yk], beta)
-            from repro.core.repair import refresh_vector
-            assert refresh_vector(candidates, order, outputs, sigma_x,
-                                  yk) == \
+            refreshed = refresh_vector_bits(candidates, order, outputs,
+                                            matrix, yk)
+            assert _bit(refreshed) == \
                 evaluate_vector(candidates, order, sigma_x), trial
 
     def test_only_prefix_reevaluated(self):
-        """Positions after yk keep their dict values untouched."""
-        from repro.core.repair import refresh_vector
-
+        """Positions after yk keep their bitsets untouched."""
         candidates = {5: bf.var(6), 6: bf.var(1), 7: bf.not_(bf.var(1))}
         order = [5, 6, 7]
-        sigma_x = {1: True}
-        outputs = evaluate_vector(candidates, order, sigma_x)
+        matrix = SampleMatrix.from_models([{1: True}])
+        # A planted (wrong) bitset after yk proves it is not re-swept.
+        outputs = {5: 1, 6: 1, 7: 1}
         candidates[6] = bf.not_(bf.var(1))
-        refreshed = refresh_vector(candidates, order, outputs, sigma_x, 6)
-        assert refreshed[7] == outputs[7]          # after yk: untouched
-        assert refreshed[6] is False               # yk recomputed
-        assert refreshed[5] is False               # before yk: recomputed
+        refreshed = refresh_vector_bits(candidates, order, outputs,
+                                        matrix, 6)
+        assert refreshed[7] == 1                   # after yk: untouched
+        assert refreshed[6] == 0                   # yk recomputed
+        assert refreshed[5] == 0                   # before yk: recomputed

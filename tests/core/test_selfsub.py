@@ -9,6 +9,7 @@ from repro.core.selfsub import (
     run_self_substitution,
     self_substitute,
 )
+from repro.core.sessions import build_sessions
 from repro.core import (
     Manthan3,
     Manthan3Config,
@@ -92,9 +93,9 @@ class TestFallbackEndToEnd:
     into the non-repairable set, and the order is recomputed."""
 
     def _context(self, inst, candidates, **config_kwargs):
-        config = Manthan3Config(seed=3, incremental=False,
-                                **config_kwargs)
+        config = Manthan3Config(seed=3, **config_kwargs)
         ctx = SynthesisContext(inst, config)
+        build_sessions(ctx)
         ctx.candidates = dict(candidates)
         ctx.tracker = DependencyTracker(inst.existentials)
         ctx.tracker.seed_subset_pairs(inst)
