@@ -2,9 +2,10 @@
 
 Design notes
 ------------
-* External interface uses DIMACS literals (non-zero ints); internally,
-  literal ``l`` indexes watch lists at ``2*v`` (positive) / ``2*v + 1``
-  (negative) where ``v = |l|``.
+* External interface uses DIMACS literals (non-zero ints; ``0`` is
+  rejected); internally, literal ``l`` indexes watch lists at ``2*v``
+  (positive) / ``2*v + 1`` (negative) where ``v = |l|``.  A clause
+  waiting on literal ``l`` becoming false sits in the list of ``-l``.
 * First-UIP learning with basic (non-recursive) clause minimization.
 * VSIDS via a lazily-cleaned binary heap; activities rescaled on overflow.
 * Phase saving with configurable default polarity; both polarity and
@@ -26,7 +27,42 @@ Design notes
   synthesis loop keep one solver per oracle instead of rebuilding.
   Selector literals never escape: models and cores are masked before
   they reach callers.
+
+Hot-loop conventions
+--------------------
+Every query of the synthesis loop runs through this solver, so the
+per-literal paths (:meth:`Solver._propagate`, :meth:`Solver._analyze`,
+:meth:`Solver._cancel_until`, the decision step of
+:meth:`Solver._search`, :meth:`Solver.add_clause`) are written flat:
+
+* ``self.*`` containers are bound to locals once per call.  Attributes
+  that a callee may *rebind* (``learnts`` in :meth:`Solver._reduce_db`,
+  ``var_inc`` in the activity rescale) are read through ``self`` again
+  after such a call.
+* Assignments are read without helpers: ``assigns[v]`` is ``None``,
+  ``True`` or ``False``, so for ``v = |l|`` the literal ``l`` is true
+  iff ``assigns[v] is (l > 0)`` and false iff ``assigns[v] is (l < 0)``.
+  The watch index of ``-l`` is ``2*l + 1`` for ``l > 0`` and ``-2*l``
+  otherwise.  Enqueueing, variable bumping and decision levels are
+  inlined the same way.
+* Propagation compacts each visited watch list in place; the clauses
+  that stay keep their order.
+* :meth:`Solver.add_clause` checks its literals with whole-list
+  ``map``/``set`` passes and loops in Python only over a clause that
+  touches a root-assigned variable.
+* :meth:`Solver._value`, :meth:`Solver._enqueue` and
+  :meth:`Solver._widx` remain for cold paths only — the unit path of
+  :meth:`Solver.add_clause`, :meth:`Solver.release_group` and
+  :meth:`Solver._reduce_db` — and as the readable definition of what
+  the loops inline.
+
+``tests/sat/test_solver_trajectory.py`` pins the search trajectory
+(watch order, literal swaps, heap order, learnt clauses, models, cores
+and counters): a speed-up in this style must leave its digest as is.
 """
+
+from heapq import heappop, heappush
+from operator import neg
 
 from repro.utils.errors import ReproError
 from repro.utils.rng import make_rng
@@ -62,6 +98,12 @@ def _luby(y, x):
         seq -= 1
         x = x % size
     return y ** seq
+
+
+def _check_literals(lits, what):
+    if 0 in lits:
+        raise ReproError("%s contain literal 0; literals are non-zero "
+                         "DIMACS integers" % what)
 
 
 class Solver:
@@ -122,10 +164,9 @@ class Solver:
         self.model = None              # dict var -> bool after SAT
         self.core = None               # list of assumption lits after UNSAT
 
-        self._group_selector = {}      # group id -> selector var
-        self._selector_group = {}      # selector var -> group id
+        self._group_selector = {}      # live group id -> selector, id order
+        self._selector_group = {}      # selector var -> group id, ever
         self._group_clauses = {}       # group id -> [_Clause, ...]
-        self._released = set()
         self._next_group = 0
         self._dead_clauses = 0         # released clauses awaiting compaction
 
@@ -137,19 +178,21 @@ class Solver:
     # ------------------------------------------------------------------
     def ensure_vars(self, n):
         """Grow the variable space to at least ``n`` variables."""
-        import heapq
-
-        while self.num_vars < n:
-            self.num_vars += 1
-            self.assigns.append(None)
-            self.level.append(0)
-            self.reason.append(None)
-            self.activity.append(0.0)
-            self.phase.append(self.default_phase)
-            self.watches.append([])
-            self.watches.append([])
-            self._in_heap.append(True)
-            heapq.heappush(self._heap, (0.0, self.num_vars))
+        first = self.num_vars + 1
+        if n < first:
+            return
+        grow = n - self.num_vars
+        self.assigns.extend([None] * grow)
+        self.level.extend([0] * grow)
+        self.reason.extend([None] * grow)
+        self.activity.extend([0.0] * grow)
+        self.phase.extend([self.default_phase] * grow)
+        self.watches.extend([] for _ in range(2 * grow))
+        self._in_heap.extend([True] * grow)
+        heap = self._heap
+        for v in range(first, n + 1):
+            heappush(heap, (0.0, v))
+        self.num_vars = n
 
     def reserve_var(self):
         """Allocate and return one fresh variable id.
@@ -198,12 +241,11 @@ class Solver:
         clauses from the watch lists.  Only call between ``solve()``
         calls — the trail must be at decision level 0.
         """
-        if group not in self._group_selector:
+        if group not in range(self._next_group):
             raise ReproError("unknown clause group %r" % (group,))
-        if group in self._released:
-            return
-        self._released.add(group)
-        selector = self._group_selector[group]
+        selector = self._group_selector.pop(group, None)
+        if selector is None:
+            return  # already released
         clauses = self._group_clauses.pop(group)
         if clauses:
             for clause in clauses:
@@ -238,59 +280,71 @@ class Solver:
 
         With ``group=g`` the clause is guarded by the group's selector:
         it constrains the search only while the group is live, and
-        :meth:`release_group` retires it.
+        :meth:`release_group` retires it.  Literal ``0`` raises
+        :class:`~repro.utils.errors.ReproError`.
         """
+        lits = list(map(int, lits))
+        _check_literals(lits, "clauses")
         if not self.ok:
             return False
-        lits = [int(l) for l in lits]
-        if self._selector_group:
-            for l in lits:
-                if abs(l) in self._selector_group:
-                    raise ReproError(
-                        "literal %d references a group selector; reserve "
-                        "problem variables before opening groups" % l)
+        variables = list(map(abs, lits))
+        selector_group = self._selector_group
+        if selector_group and not selector_group.keys().isdisjoint(
+                variables):
+            l = next(l for l in lits if abs(l) in selector_group)
+            raise ReproError(
+                "literal %d references a group selector; reserve "
+                "problem variables before opening groups" % l)
         if group is not None:
-            if group not in self._group_selector:
-                raise ReproError("unknown clause group %r" % (group,))
-            if group in self._released:
+            selector = self._group_selector.get(group)
+            if selector is None:
+                if group not in range(self._next_group):
+                    raise ReproError("unknown clause group %r" % (group,))
                 raise ReproError("clause group %r is released" % (group,))
-            lits.append(-self._group_selector[group])
-        for l in lits:
-            self.ensure_vars(abs(l))
-        # Root-level simplification: drop falsified lits, detect tautology.
-        seen = set()
-        out = []
-        for l in lits:
-            if -l in seen:
-                return True  # tautology: trivially satisfied
-            if l in seen:
-                continue
-            value = self._value(l)
-            if value is True and self.level[abs(l)] == 0:
+            lits.append(-selector)
+            variables.append(selector)
+        if variables:
+            top = max(variables)
+            if top > self.num_vars:
+                self.ensure_vars(top)
+        # Root-level simplification: drop falsified lits, detect
+        # satisfied clauses and tautologies, merge duplicates (first
+        # occurrence wins).  Every early exit returns True untouched, so
+        # their order does not matter.
+        values = list(map(self.assigns.__getitem__, variables))
+        if values.count(None) != len(values):
+            level = self.level
+            out = []
+            for l, v, value in zip(lits, variables, values):
+                if value is None or level[v]:
+                    out.append(l)
+                elif value is (l > 0):
+                    return True
+            lits = out
+            variables = list(map(abs, out))
+        if len(set(variables)) != len(lits):
+            # A repeated variable: a tautology or duplicate literals.
+            if not set(lits).isdisjoint(map(neg, lits)):
                 return True
-            if value is False and self.level[abs(l)] == 0:
-                continue
-            seen.add(l)
-            out.append(l)
-        if not out:
+            lits = list(dict.fromkeys(lits))
+        if not lits:
             self.ok = False
             return False
-        if len(out) == 1:
-            if not self._enqueue(out[0], None):
+        if len(lits) == 1:
+            if not self._enqueue(lits[0], None):
                 self.ok = False
                 return False
             self.ok = self._propagate() is None
             return self.ok
-        clause = _Clause(out, learnt=False)
+        clause = _Clause(lits)
         self.clauses.append(clause)
-        self._watch(clause)
+        watches = self.watches
+        l0, l1 = lits[0], lits[1]
+        watches[2 * l0 + 1 if l0 > 0 else -2 * l0].append(clause)
+        watches[2 * l1 + 1 if l1 > 0 else -2 * l1].append(clause)
         if group is not None:
             self._group_clauses[group].append(clause)
         return True
-
-    def _watch(self, clause):
-        self.watches[self._widx(-clause.lits[0])].append(clause)
-        self.watches[self._widx(-clause.lits[1])].append(clause)
 
     @staticmethod
     def _widx(lit):
@@ -298,7 +352,7 @@ class Solver:
         return 2 * v + (0 if lit > 0 else 1)
 
     # ------------------------------------------------------------------
-    # assignment primitives
+    # assignment primitives (cold paths; the loops inline them)
     # ------------------------------------------------------------------
     def _value(self, lit):
         v = self.assigns[abs(lit)]
@@ -312,81 +366,109 @@ class Solver:
             return value
         v = abs(lit)
         self.assigns[v] = lit > 0
-        self.level[v] = self._decision_level()
+        self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
         return True
 
-    def _decision_level(self):
-        return len(self.trail_lim)
-
-    def _new_decision_level(self):
-        self.trail_lim.append(len(self.trail))
-
     def _cancel_until(self, target_level):
-        import heapq
-
-        if self._decision_level() <= target_level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
             return
-        bound = self.trail_lim[target_level]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            lit = self.trail[i]
-            v = abs(lit)
-            self.phase[v] = self.assigns[v]
-            self.assigns[v] = None
-            self.reason[v] = None
-            if not self._in_heap[v]:
-                self._in_heap[v] = True
-                heapq.heappush(self._heap, (-self.activity[v], v))
-        del self.trail[bound:]
-        del self.trail_lim[target_level:]
-        self.qhead = len(self.trail)
+        trail = self.trail
+        bound = trail_lim[target_level]
+        assigns = self.assigns
+        phase = self.phase
+        reason = self.reason
+        in_heap = self._in_heap
+        activity = self.activity
+        heap = self._heap
+        for lit in reversed(trail[bound:]):
+            v = lit if lit > 0 else -lit
+            phase[v] = assigns[v]
+            assigns[v] = None
+            reason[v] = None
+            if not in_heap[v]:
+                in_heap[v] = True
+                heappush(heap, (-activity[v], v))
+        del trail[bound:]
+        del trail_lim[target_level:]
+        self.qhead = len(trail)
 
     # ------------------------------------------------------------------
     # propagation
     # ------------------------------------------------------------------
     def _propagate(self):
         """Unit propagation; returns the conflicting clause or ``None``."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            # Clauses watching ¬p (registered under _widx(p)) may now be unit.
-            idx = self._widx(p)
-            ws = self.watches[idx]
-            kept = []
-            i = 0
-            n = len(ws)
-            while i < n:
-                clause = ws[i]
-                i += 1
+        trail = self.trail
+        qhead = self.qhead
+        if qhead >= len(trail):
+            return None
+        assigns = self.assigns
+        level = self.level
+        reason = self.reason
+        watches = self.watches
+        enqueue = trail.append
+        decision_level = len(self.trail_lim)
+        start = qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            # Clauses watching ¬p (registered under _widx(p)) may now be
+            # unit.  The list is compacted in place: the first ``j``
+            # slots collect the clauses that keep watching ¬p, and
+            # ``moved`` counts those that found another watch.
+            ws = watches[2 * p if p > 0 else 1 - 2 * p]
+            if not ws:
+                continue
+            false_lit = -p
+            j = moved = 0
+            for clause in ws:
                 lits = clause.lits
                 # Ensure the falsified watched literal sits at index 1.
-                if lits[0] == -p:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._value(first) is True:
-                    kept.append(clause)
-                    continue
-                # Look for a new watch.
-                found = False
+                if first == false_lit:
+                    first = lits[0] = lits[1]
+                    lits[1] = false_lit
+                if first > 0:
+                    value = assigns[first]
+                    if value:
+                        ws[j] = clause
+                        j += 1
+                        continue
+                else:
+                    value = assigns[-first]
+                    if value is False:
+                        ws[j] = clause
+                        j += 1
+                        continue
+                # Look for a new watch: any literal not false.
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) is not False:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self.watches[self._widx(-lits[1])].append(clause)
-                        found = True
+                    lit = lits[k]
+                    if assigns[lit if lit > 0 else -lit] is not (lit < 0):
+                        lits[1], lits[k] = lit, lits[1]
+                        watches[2 * lit + 1 if lit > 0 else -2 * lit] \
+                            .append(clause)
+                        moved += 1
                         break
-                if found:
-                    continue
-                kept.append(clause)
-                if self._value(first) is False:
-                    # Conflict: restore remaining watchers and bail out.
-                    kept.extend(ws[i:n])
-                    self.watches[idx] = kept
-                    self.qhead = len(self.trail)
-                    return clause
-                self._enqueue(first, clause)
-            self.watches[idx] = kept
+                else:
+                    ws[j] = clause
+                    j += 1
+                    if value is not None:
+                        # Conflict: keep the unvisited watchers and bail
+                        # out.
+                        del ws[j:j + moved]
+                        self.qhead = len(trail)
+                        self.propagations += qhead - start
+                        return clause
+                    var = first if first > 0 else -first
+                    assigns[var] = first > 0
+                    level[var] = decision_level
+                    reason[var] = clause
+                    enqueue(first)
+            del ws[j:]
+        self.qhead = qhead
+        self.propagations += qhead - start
         return None
 
     # ------------------------------------------------------------------
@@ -398,54 +480,76 @@ class Solver:
         Returns ``(learnt_lits, backtrack_level)`` with the asserting
         literal first in ``learnt_lits``.
         """
+        level = self.level
+        reason = self.reason
+        trail = self.trail
+        activity = self.activity
+        heap = self._heap
+        in_heap = self._in_heap
+        var_inc = self.var_inc
+        decision_level = len(self.trail_lim)
         learnt = [None]
         seen = [False] * (self.num_vars + 1)
         counter = 0
         p = None
         reason_lits = conflict.lits
-        index = len(self.trail)
+        index = len(trail)
 
         while True:
-            if isinstance(reason_lits, _Clause):  # pragma: no cover
-                reason_lits = reason_lits.lits
             for q in reason_lits:
-                if p is not None and q == p:
+                if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump_var(v)
-                    if self.level[v] >= self._decision_level():
+                    # VSIDS bump.
+                    act = activity[v] + var_inc
+                    activity[v] = act
+                    if act > _RESCALE_LIMIT:
+                        for i in range(1, self.num_vars + 1):
+                            activity[i] *= _RESCALE_FACTOR
+                        var_inc = self.var_inc = var_inc * _RESCALE_FACTOR
+                        act = activity[v]
+                    heappush(heap, (-act, v))
+                    in_heap[v] = True
+                    if level[v] >= decision_level:
                         counter += 1
                     else:
                         learnt.append(q)
             # Walk the trail back to the next marked literal.
             while True:
                 index -= 1
-                p = self.trail[index]
-                if seen[abs(p)]:
+                p = trail[index]
+                v = p if p > 0 else -p
+                if seen[v]:
                     break
             counter -= 1
-            seen[abs(p)] = False
+            seen[v] = False
             if counter == 0:
                 learnt[0] = -p
                 break
-            reason = self.reason[abs(p)]
-            reason_lits = reason.lits if reason is not None else ()
-            if reason is not None and reason.learnt:
-                self._bump_clause(reason)
+            clause = reason[v]
+            if clause is None:
+                reason_lits = ()
+            else:
+                reason_lits = clause.lits
+                if clause.learnt:
+                    self._bump_clause(clause)
 
         # Minimize: drop literals whose reason is subsumed by the clause.
-        marked = set(abs(l) for l in learnt[1:])
+        # ``seen`` now marks exactly the variables of learnt[1:].
         minimized = [learnt[0]]
         for l in learnt[1:]:
-            reason = self.reason[abs(l)]
-            if reason is None:
-                minimized.append(l)
-                continue
-            if all(abs(q) in marked or self.level[abs(q)] == 0
-                   for q in reason.lits if q != -l):
-                continue  # redundant literal
+            clause = reason[l if l > 0 else -l]
+            if clause is not None:
+                implied = -l
+                for q in clause.lits:
+                    if q != implied:
+                        v = q if q > 0 else -q
+                        if not seen[v] and level[v] != 0:
+                            break
+                else:
+                    continue  # redundant literal
             minimized.append(l)
         learnt = minimized
 
@@ -454,55 +558,49 @@ class Solver:
         else:
             # Second-highest decision level in the clause.
             max_i = 1
+            q = learnt[1]
+            max_level = level[q if q > 0 else -q]
             for i in range(2, len(learnt)):
-                if self.level[abs(learnt[i])] > self.level[abs(learnt[max_i])]:
+                q = learnt[i]
+                lv = level[q if q > 0 else -q]
+                if lv > max_level:
                     max_i = i
+                    max_level = lv
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt_level = self.level[abs(learnt[1])]
+            bt_level = max_level
         return learnt, bt_level
 
     def _analyze_final(self, p):
         """Compute the subset of assumptions responsible for falsifying
         assumption literal ``p`` (MiniSat's ``analyzeFinal``)."""
         core = [p]
-        if self._decision_level() == 0:
+        if not self.trail_lim:
             return core
+        level = self.level
+        reason = self.reason
+        trail = self.trail
         seen = [False] * (self.num_vars + 1)
         seen[abs(p)] = True
-        for i in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
-            lit = self.trail[i]
-            v = abs(lit)
+        for i in range(len(trail) - 1, self.trail_lim[0] - 1, -1):
+            lit = trail[i]
+            v = lit if lit > 0 else -lit
             if not seen[v]:
                 continue
-            reason = self.reason[v]
-            if reason is None:
+            clause = reason[v]
+            if clause is None:
                 # A decision at an assumption level *is* an assumption.
                 core.append(lit)
             else:
-                for q in reason.lits:
-                    if self.level[abs(q)] > 0:
-                        seen[abs(q)] = True
+                for q in clause.lits:
+                    u = q if q > 0 else -q
+                    if level[u] > 0:
+                        seen[u] = True
             seen[v] = False
         return core
 
     # ------------------------------------------------------------------
     # heuristics
     # ------------------------------------------------------------------
-    def _bump_var(self, v):
-        import heapq
-
-        self.activity[v] += self.var_inc
-        if self.activity[v] > _RESCALE_LIMIT:
-            for i in range(1, self.num_vars + 1):
-                self.activity[i] *= _RESCALE_FACTOR
-            self.var_inc *= _RESCALE_FACTOR
-        heapq.heappush(self._heap, (-self.activity[v], v))
-        self._in_heap[v] = True
-
-    def _decay_activities(self):
-        self.var_inc /= self.var_decay
-        self.cla_inc /= self.cla_decay
-
     def _bump_clause(self, clause):
         clause.activity += self.cla_inc
         if clause.activity > _RESCALE_LIMIT:
@@ -511,26 +609,29 @@ class Solver:
             self.cla_inc *= _RESCALE_FACTOR
 
     def _pick_branch_var(self):
-        import heapq
-
+        assigns = self.assigns
         if self.random_var_freq > 0 and self.rng.random() < self.random_var_freq:
             free = [v for v in range(1, self.num_vars + 1)
-                    if self.assigns[v] is None]
+                    if assigns[v] is None]
             if free:
                 return self.rng.choice(free)
-        while self._heap:
-            neg_act, v = heapq.heappop(self._heap)
-            self._in_heap[v] = False
-            if self.assigns[v] is not None:
+        heap = self._heap
+        in_heap = self._in_heap
+        activity = self.activity
+        while heap:
+            neg_act, v = heappop(heap)
+            in_heap[v] = False
+            if assigns[v] is not None:
                 continue
-            if -neg_act != self.activity[v]:
+            act = activity[v]
+            if -neg_act != act:
                 # Stale entry: reinsert with the fresh activity and retry.
-                heapq.heappush(self._heap, (-self.activity[v], v))
-                self._in_heap[v] = True
+                heappush(heap, (-act, v))
+                in_heap[v] = True
                 continue
             return v
         for v in range(1, self.num_vars + 1):
-            if self.assigns[v] is None:
+            if assigns[v] is None:
                 return v
         return None
 
@@ -601,7 +702,8 @@ class Solver:
         out).  After :data:`SAT`, :attr:`model` holds ``{var: bool}`` over
         all variables; after :data:`UNSAT` under assumptions, :attr:`core`
         holds a subset of the assumptions sufficient for unsatisfiability
-        (empty when the formula is unconditionally UNSAT).
+        (empty when the formula is unconditionally UNSAT).  Literal ``0``
+        raises :class:`~repro.utils.errors.ReproError`.
 
         Selectors of live clause groups are assumed automatically (first,
         so group context is established before the caller's assumptions)
@@ -609,14 +711,14 @@ class Solver:
         """
         self.model = None
         self.core = None
-        assumptions = [int(l) for l in assumptions]
+        assumptions = list(map(int, assumptions))
+        if assumptions:
+            _check_literals(assumptions, "assumptions")
+            top = max(map(abs, assumptions))
+            if top > self.num_vars:
+                self.ensure_vars(top)
         if self._group_selector:
-            selectors = [self._group_selector[g]
-                         for g in sorted(self._group_selector)
-                         if g not in self._released]
-            assumptions = selectors + assumptions
-        for l in assumptions:
-            self.ensure_vars(abs(l))
+            assumptions = list(self._group_selector.values()) + assumptions
         if not self.ok:
             self.core = []
             return UNSAT
@@ -636,8 +738,9 @@ class Solver:
                 self._cancel_until(0)
                 if self._selector_group:
                     if status == SAT:
+                        drop = self.model.pop
                         for v in self._selector_group:
-                            self.model.pop(v, None)
+                            drop(v, None)
                     elif status == UNSAT and self.core:
                         self.core = self._mask_selectors(self.core)
                 return status
@@ -652,27 +755,47 @@ class Solver:
 
     def _search(self, restart_budget, assumptions, start_conflicts,
                 conflict_budget, deadline, max_learnts):
+        trail = self.trail
+        trail_lim = self.trail_lim
+        assigns = self.assigns
+        level = self.level
+        reason = self.reason
+        watches = self.watches
+        propagate = self._propagate
+        num_assumptions = len(assumptions)
         conflicts_here = 0
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self.ok = False
                     self.core = []
                     return UNSAT
                 learnt, bt_level = self._analyze(conflict)
                 self._cancel_until(bt_level)
+                lit = learnt[0]
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], None)
+                    clause = None
                 else:
                     clause = _Clause(learnt, learnt=True)
                     self.learnts.append(clause)
-                    self._watch(clause)
+                    other = learnt[1]
+                    watches[2 * lit + 1 if lit > 0 else -2 * lit] \
+                        .append(clause)
+                    watches[2 * other + 1 if other > 0 else -2 * other] \
+                        .append(clause)
                     self._bump_clause(clause)
-                    self._enqueue(learnt[0], clause)
-                self._decay_activities()
+                # The asserting literal's variable was assigned above
+                # bt_level, so the backjump left it free.
+                v = lit if lit > 0 else -lit
+                assigns[v] = lit > 0
+                level[v] = len(trail_lim)
+                reason[v] = clause
+                trail.append(lit)
+                self.var_inc /= self.var_decay
+                self.cla_inc /= self.cla_decay
                 if deadline is not None and (self.conflicts & 255) == 0 \
                         and deadline.expired():
                     return UNKNOWN
@@ -684,32 +807,36 @@ class Solver:
                     return None  # restart
                 continue
 
-            if len(self.learnts) > max_learnts + len(self.trail):
+            if len(self.learnts) > max_learnts + len(trail):
                 self._reduce_db()
 
             # Replay assumptions as the first decisions.
             next_lit = None
-            while self._decision_level() < len(assumptions):
-                p = assumptions[self._decision_level()]
-                value = self._value(p)
-                if value is True:
-                    self._new_decision_level()  # dummy level
-                elif value is False:
-                    self.core = self._analyze_final(p)
-                    return UNSAT
-                else:
+            while len(trail_lim) < num_assumptions:
+                p = assumptions[len(trail_lim)]
+                value = assigns[p if p > 0 else -p]
+                if value is None:
                     next_lit = p
                     break
+                if value is (p > 0):
+                    trail_lim.append(len(trail))  # dummy level
+                else:
+                    self.core = self._analyze_final(p)
+                    return UNSAT
             if next_lit is None:
                 v = self._pick_branch_var()
                 if v is None:
-                    self.model = {i: bool(self.assigns[i])
-                                  for i in range(1, self.num_vars + 1)}
+                    self.model = dict(zip(range(1, self.num_vars + 1),
+                                          map(bool, assigns[1:])))
                     return SAT
                 next_lit = v if self._pick_polarity(v) else -v
             self.decisions += 1
-            self._new_decision_level()
-            self._enqueue(next_lit, None)
+            trail_lim.append(len(trail))
+            v = next_lit if next_lit > 0 else -next_lit
+            assigns[v] = next_lit > 0
+            level[v] = len(trail_lim)
+            reason[v] = None
+            trail.append(next_lit)
 
 
 def solve_cnf(cnf, assumptions=(), rng=None, conflict_budget=None,

@@ -173,6 +173,43 @@ class TestDegenerateInputs:
         assert solver.core == []
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestLiteralZeroRejected:
+    """``0`` is DIMACS's clause terminator, never a literal: both entry
+    points reject it and leave the solver as it was."""
+
+    @pytest.mark.parametrize("lits", [(0,), (1, 0, 2), (0, 0)])
+    def test_add_clause_rejects_zero(self, backend, lits):
+        solver = make_backend(backend)
+        solver.ensure_vars(2)
+        with pytest.raises(ReproError, match="literal 0"):
+            solver.add_clause(lits)
+        # Nothing was stored: the solver answers as if never asked.
+        assert solver.ok is True
+        assert solver.solve() == SAT
+        assert set(solver.model) == {1, 2}
+
+    def test_grouped_clause_rejects_zero(self, backend):
+        solver = make_backend(backend)
+        solver.ensure_vars(1)
+        group = solver.new_group()
+        with pytest.raises(ReproError, match="literal 0"):
+            solver.add_clause((1, 0), group=group)
+        solver.add_clause((-1,), group=group)
+        assert solver.solve() == SAT
+        assert solver.model == {1: False}
+
+    @pytest.mark.parametrize("assumptions", [[0], [1, 0], [0, -2]])
+    def test_solve_rejects_zero_assumption(self, backend, assumptions):
+        solver = make_backend(backend)
+        solver.ensure_vars(2)
+        solver.add_clause((1, 2))
+        with pytest.raises(ReproError, match="literal 0"):
+            solver.solve(assumptions=assumptions)
+        assert solver.solve(assumptions=[-1]) == SAT
+        assert solver.model == {1: False, 2: True}
+
+
 class TestNativeInternals:
     """Corners specific to the native implementation (not protocol)."""
 
