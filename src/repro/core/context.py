@@ -12,11 +12,11 @@ anytime partials.
 
 The context also owns the run's RNG discipline.  ``spawn`` consumes
 parent-RNG state, so the *sequence* of ``ctx.spawn(salt)`` calls is part
-of the engine's trajectory contract: the staged pipeline issues exactly
-the spawns of the pre-pipeline monolith (sampler = 1, preprocess = 2,
-verify = 100+iteration, repair = 200+iteration, oracle sessions from the
-separate ``oracle_rng`` stream), which is what makes the two
-trajectory-equivalent — same statuses *and* same functions.
+of the engine's trajectory contract: the pipeline issues a fixed
+sequence (sampler = 1, preprocess = 2, verify = 100+iteration, repair =
+200+iteration, oracle sessions from the separate ``oracle_rng`` stream),
+and reordering it changes the pinned trajectory digest
+(``tests/trajectory.py``) — statuses *and* functions.
 """
 
 from repro.core.config import Manthan3Config

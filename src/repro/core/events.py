@@ -8,9 +8,9 @@ receives them — in-process for ``solve()``, relayed over the worker IPC
 pipe for ``solve_batch()`` (the relay stamps ``engine``/``instance`` on
 each event so a batch listener can tell the streams apart).
 
-Events are plain picklable value objects; emitting them costs nothing
-when no listener is subscribed (guarded at the emission sites, gated at
-≤2% overhead by ``benchmarks/bench_pipeline_overhead.py``).
+Events are plain picklable value objects; with no listener subscribed
+none is even constructed (guarded at the emission sites; pinned by
+``tests/api/test_events.py``, which counts constructions during a solve).
 
 The event vocabulary:
 

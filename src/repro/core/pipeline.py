@@ -22,11 +22,10 @@ over a shared :class:`~repro.core.context.SynthesisContext`, and a
   :mod:`repro.portfolio.parallel`), not a code fork: e.g.
   ``manthan3-nopre`` is the default list minus ``"preprocess"``.
 
-The default phase list reproduces the pre-pipeline monolith
-trajectory-for-trajectory: same RNG spawn sequence, same oracle calls,
-same statuses *and* functions (asserted by
-``tests/core/test_pipeline.py`` against the frozen baseline in
-``benchmarks/monolith_baseline.py``).
+The default phase list's trajectory — statuses *and* functions — is
+pinned by a SHA-256 digest (``tests/trajectory.py``) that is identical
+across processes; ``tests/core/test_pipeline.py`` and
+``tests/integration/test_determinism.py`` check it.
 """
 
 from repro.core.candidates import run_learning

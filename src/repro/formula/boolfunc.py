@@ -25,6 +25,11 @@ OP_AND = "and"
 OP_OR = "or"
 OP_XOR = "xor"
 
+#: Integer opcodes for :attr:`BoolExpr._hash`: ``hash()`` of a string
+#: (and, on CPython 3.11, of ``None``) differs between processes.
+_OP_CODES = {OP_CONST: 0, OP_VAR: 1, OP_NOT: 2, OP_AND: 3, OP_OR: 4,
+             OP_XOR: 5}
+
 _INTERN = {}
 
 
@@ -41,7 +46,11 @@ class BoolExpr:
         self.op = op
         self.children = children
         self.payload = payload
-        self._hash = hash((op, payload) + tuple(id(c) for c in children))
+        # Structural, not address-based: set iteration over nodes and the
+        # XOR operand order follow the hash, so it must come out the same
+        # in every process.
+        self._hash = hash((_OP_CODES[op], 0 if payload is None else payload,
+                           *[c._hash for c in children]))
         self._support = None
 
     def __hash__(self):

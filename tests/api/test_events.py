@@ -10,6 +10,7 @@ from repro.api import (
     Solver,
 )
 from repro.benchgen import generate_pec_instance, generate_planted_instance
+from repro.core.events import Event
 
 
 def _repairing_instance():
@@ -102,6 +103,22 @@ class TestObservationIsNeutral:
         assert observed.status == blind.status
         assert {y: f.to_infix() for y, f in observed.functions.items()} \
             == {y: f.to_infix() for y, f in blind.functions.items()}
+
+    def test_no_listener_constructs_no_event(self, monkeypatch):
+        """Unobserved solves take the guard path: not one ``Event`` is
+        built, while one listener makes the same solve build some."""
+        built = []
+        init = Event.__init__
+
+        def counting_init(self):
+            built.append(type(self))
+            init(self)
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        inst = _repairing_instance()
+        assert Solver("manthan3", seed=9).solve(inst, timeout=60).synthesized
+        assert built == []
+        _solve_with_events(inst, seed=9)
+        assert built
 
     def test_raising_listener_is_isolated(self):
         inst = _repairing_instance()

@@ -1,21 +1,18 @@
-"""Tests for the staged pipeline: trajectory equivalence against the
-frozen pre-pipeline monolith, per-phase budgets, anytime partial
-results, and the declarative engine specs.
+"""Tests for the staged pipeline: the pinned trajectory, per-phase
+budgets, anytime partial results, and the declarative engine specs.
 
-Trajectory equivalence is the refactor's acceptance contract: the
-staged pipeline must reproduce the PR 3 monolith's statuses AND
-functions exactly (same RNG spawn sequence, same oracle calls), across
-the planted/controller/pec families, at engine and campaign level.
+The trajectory pin is the pipeline's acceptance contract: the staged
+pipeline must reproduce the statuses AND functions folded into
+``trajectory.ENGINE_SHA256`` / ``FALSE_SHA256`` exactly (same RNG spawn
+sequence, same oracle calls), across the planted/controller/pec
+families, at engine and campaign level.  The constants were recorded
+from both the staged pipeline and the pre-pipeline monolith it replaced,
+which agreed on them.
 """
 
 import pytest
 
-from benchmarks.monolith_baseline import MonolithManthan3
-from repro.benchgen import (
-    generate_controller_instance,
-    generate_pec_instance,
-    generate_planted_instance,
-)
+from repro.benchgen import generate_planted_instance
 from repro.core import (
     DEFAULT_PHASE_NAMES,
     Manthan3,
@@ -35,63 +32,46 @@ from repro.portfolio import make_engine, run_campaign
 from repro.portfolio.parallel import derive_job_seed
 from repro.utils.errors import ReproError
 from repro.utils.timer import Deadline
+from trajectory import (
+    ENGINE_SHA256,
+    FALSE_SHA256,
+    engine_cases,
+    false_cases,
+    fold,
+    pipeline_suite,
+    run_cases,
+)
 
 
 def make(universals, deps, clauses):
     return DQBFInstance(universals, deps, CNF(clauses))
 
 
-def _suite():
-    """Small instances spanning the planted/controller/pec families."""
-    instances = [
-        generate_planted_instance(
-            num_universals=14 + 2 * i, num_existentials=3, dep_width=12,
-            region_width=3, rules_per_y=4, seed=40 + i)
-        for i in range(3)
-    ]
-    instances.append(generate_controller_instance(
-        num_state=3, num_disturbance=2, num_controls=2, observable=True,
-        seed=44))
-    instances.append(generate_pec_instance(
-        num_inputs=5, num_outputs=2, num_boxes=1, depth=2,
-        realizable=True, seed=45))
-    return instances
-
-
 class TestTrajectoryEquivalence:
-    """Staged pipeline ≡ PR 3 monolith: statuses AND functions."""
+    """Staged pipeline ≡ the pinned trajectory: statuses AND functions."""
 
     def test_engine_level(self):
-        for inst in _suite():
-            staged = Manthan3(Manthan3Config(seed=9)).run(inst, timeout=60)
-            mono = MonolithManthan3(Manthan3Config(seed=9)).run(inst,
-                                                                timeout=60)
-            assert staged.status == mono.status, inst.name
-            assert staged.functions == mono.functions, inst.name
+        assert fold(run_cases(engine_cases())) == ENGINE_SHA256
 
     def test_campaign_level(self):
-        """Campaign over the suite matches per-job-seeded monolith runs
+        """Campaign over the suite matches per-job-seeded solo runs
         record for record."""
-        suite = _suite()
+        suite = pipeline_suite()
         table = run_campaign(suite, ["manthan3"], timeout=60, seed=3)
+        assert len(table.records) == len(suite)
         for record in table.records:
             config = Manthan3Config(
                 seed=derive_job_seed(3, record.engine, record.instance))
             inst = next(i for i in suite if i.name == record.instance)
-            mono = MonolithManthan3(config).run(inst, timeout=60)
-            assert record.status == mono.status, \
+            solo = Manthan3(config).run(inst, timeout=60)
+            assert record.status == solo.status, \
                 (record.engine, record.instance)
             assert record.certified is not False, record.instance
 
     def test_false_verdicts_match(self):
-        for inst in (make([1], {2: [1]}, [[1]]),            # extension
-                     make([1], {2: [1]}, [[2], [-2]]),      # UNSAT matrix
-                     make([1], {2: [1]}, [[1], [1, 2]])):   # unit fastpath
-            staged = Manthan3(Manthan3Config(seed=2)).run(inst, timeout=30)
-            mono = MonolithManthan3(Manthan3Config(seed=2)).run(inst,
-                                                                timeout=30)
-            assert staged.status == mono.status == Status.FALSE
-            assert staged.witness == mono.witness
+        runs = run_cases(false_cases())
+        assert [r.status for _, r in runs] == [Status.FALSE] * 3
+        assert fold(runs) == FALSE_SHA256
 
 
 class TestAnytimePartials:

@@ -1,9 +1,15 @@
 """End-to-end determinism: same seed ⇒ same verdicts and functions.
 
 Reproducibility matters for an evaluation artifact; these tests pin it
-for every engine on representative instances.
+for every engine on representative instances, within one process and
+across fresh processes.
 """
 
+import os
+import subprocess
+import sys
+
+import repro
 from repro.baselines import (
     BDDSynthesizer,
     ExpansionSynthesizer,
@@ -11,6 +17,7 @@ from repro.baselines import (
 )
 from repro.core import Manthan3, Manthan3Config
 from repro.benchgen import generate_pec_instance, build_suite
+import trajectory
 
 
 def _functions_signature(result):
@@ -45,3 +52,26 @@ class TestEngineDeterminism:
         b = Manthan3().run(inst, timeout=30)
         assert a.status == b.status
         assert _functions_signature(a) == _functions_signature(b)
+
+
+class TestCrossProcessDeterminism:
+    def test_trajectory_digest_independent_of_process(self):
+        """Fresh interpreters with different ``PYTHONHASHSEED``s (and so
+        different string hashes and memory layouts) reproduce the pinned
+        Manthan3 trajectory."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        procs = []
+        for hash_seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            procs.append(subprocess.Popen(
+                [sys.executable, trajectory.__file__, "engine", "false"],
+                env=env, stdout=subprocess.PIPE, text=True))
+        want = "engine %s\nfalse %s\n" % (trajectory.ENGINE_SHA256,
+                                           trajectory.FALSE_SHA256)
+        for proc in procs:
+            out, _ = proc.communicate(timeout=300)
+            assert proc.returncode == 0
+            assert out == want
