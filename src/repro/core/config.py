@@ -38,6 +38,10 @@ class Manthan3Config:
     stagnation_limit:
         Consecutive counterexamples with no candidate modified before the
         engine declares itself stuck (the paper's incompleteness case).
+        Independently of both knobs, the loop also gives up when a
+        counterexample whose repair modified a candidate recurs — same
+        σ[X] and same candidate outputs δ[Y′] — since the repairs are
+        then cycling.
     use_self_substitution / self_substitution_threshold:
         Manthan/Manthan2's fallback: a candidate repaired more than the
         threshold number of times is replaced wholesale by the

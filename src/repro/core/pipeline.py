@@ -57,6 +57,12 @@ from repro.utils.timer import Stopwatch
 
 __all__ = ["DEFAULT_PHASE_NAMES", "PHASES", "Phase", "Pipeline"]
 
+#: ``reason`` of each ``UNKNOWN`` exit of the verify–repair loop; stores
+#: persist it and the campaign report counts by it.
+REPAIR_CYCLED = "repair cycled: a repaired counterexample recurred"
+REPAIR_STAGNATED = "repair stagnated (incompleteness, paper §5)"
+REPAIR_CAP = "repair iteration budget exhausted"
+
 
 class Phase:
     """One named pipeline stage.
@@ -151,6 +157,12 @@ def verify_repair(ctx):
     candidate-vector evaluations sweep the whole batch bit-parallel.
     Its width is bounded by max_repair_iterations (default 400 rows ≈ 7
     machine words per column), so the widening sweeps stay cheap.
+
+    The loop ends ``UNKNOWN`` in three ways: the iteration cap, repair
+    stagnation (``stagnation_limit`` rounds in a row that modify
+    nothing), or a cycle — the verifier returns a counterexample
+    (σ[X], δ[Y′]) whose earlier repair modified some candidate, so the
+    repairs are oscillating rather than converging.
     """
     instance, config = ctx.instance, ctx.config
     if ctx.candidates is None or ctx.order is None:
@@ -164,6 +176,9 @@ def verify_repair(ctx):
     ctx.repair_counts = {}
     ctx.non_repairable = dict(ctx.fixed)
     ctx.stats["self_substitutions"] = 0
+    # (σ[X], δ[Y′]) of every counterexample whose repair modified a
+    # candidate; seeing one again means the repairs oscillate.
+    repaired = set()
     for iteration in range(config.max_repair_iterations + 1):
         ctx.iteration = iteration
         # Kept current every pass so a budget that strikes mid-loop
@@ -183,12 +198,19 @@ def verify_repair(ctx):
             return Finish(Status.FALSE,
                           reason="X assignment admits no Y extension",
                           witness=outcome.sigma_x)
+        key = (tuple(outcome.sigma_x[x] for x in instance.universals),
+               tuple(outcome.sigma_yp[y] for y in instance.existentials))
+        if key in repaired:
+            ctx.stats["repair_iterations"] = iteration
+            return Finish(Status.UNKNOWN, reason=REPAIR_CYCLED)
         if ctx.listeners:
             ctx.emit(CounterexampleFound(iteration,
                                          dict(outcome.sigma_x)))
         if iteration == config.max_repair_iterations:
             break
         modified = run_repair(ctx, outcome.sigma_x)
+        if modified:
+            repaired.add(key)
         # Manthan2-style fallback: a candidate repaired too often is
         # replaced by its self-substitution and retired from repair.
         if config.use_self_substitution:
@@ -201,12 +223,9 @@ def verify_repair(ctx):
             ctx.emit(RepairRound(iteration, modified, ctx.stagnation))
         if modified == 0 and ctx.stagnation >= config.stagnation_limit:
             ctx.stats["repair_iterations"] = iteration + 1
-            return Finish(
-                Status.UNKNOWN,
-                reason="repair stagnated (incompleteness, paper §5)")
+            return Finish(Status.UNKNOWN, reason=REPAIR_STAGNATED)
     ctx.stats["repair_iterations"] = config.max_repair_iterations
-    return Finish(Status.UNKNOWN,
-                  reason="repair iteration budget exhausted")
+    return Finish(Status.UNKNOWN, reason=REPAIR_CAP)
 
 
 #: The paper's Algorithm 1, staged.

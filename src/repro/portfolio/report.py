@@ -8,6 +8,7 @@ solves, and the unsolved breakdown.  The benchmark harness and the CLI
 both render through this module so their outputs stay consistent.
 """
 
+from repro.core.pipeline import REPAIR_CAP, REPAIR_CYCLED, REPAIR_STAGNATED
 from repro.portfolio.vbs import (
     cactus_series,
     fastest_counts,
@@ -149,6 +150,24 @@ def cache_summary(table):
             "certify_s": certify_s}
 
 
+#: Report label of each verify–repair ``UNKNOWN`` exit, by its reason.
+UNKNOWN_STOP_LABELS = {REPAIR_CYCLED: "cycled",
+                       REPAIR_STAGNATED: "stagnated",
+                       REPAIR_CAP: "iteration cap"}
+
+
+def unknown_stop_reasons(table, engine, instances):
+    """Count ``engine``'s records on ``instances`` by why the run
+    stopped, reading the persisted ``record.reason``; a reason that is
+    not a verify–repair exit counts as ``"other"``."""
+    counts = dict.fromkeys(UNKNOWN_STOP_LABELS.values(), 0)
+    counts["other"] = 0
+    for instance in instances:
+        reason = table.record_for(engine, instance).reason
+        counts[UNKNOWN_STOP_LABELS.get(reason, "other")] += 1
+    return counts
+
+
 def render_report(table, main_engine="manthan3", display_names=None,
                   slack=10.0):
     """Render the full evaluation report; returns a list of lines."""
@@ -285,6 +304,9 @@ def render_report(table, main_engine="manthan3", display_names=None,
                      % names.get(main_engine, main_engine))
         lines.append("  incompleteness (UNKNOWN): %d"
                      % len(missed_unknown))
+        stops = unknown_stop_reasons(table, main_engine, missed_unknown)
+        for label, count in stops.items():
+            lines.append("    %-22s %d" % (label + ":", count))
         lines.append("  timeout:                  %d"
                      % len(missed_timeout))
     return lines

@@ -1,5 +1,6 @@
-"""Tests for the staged pipeline: the pinned trajectory, per-phase
-budgets, anytime partial results, and the declarative engine specs.
+"""Tests for the staged pipeline: the pinned trajectory, the
+verify–repair stop conditions, per-phase budgets, anytime partial
+results, and the declarative engine specs.
 
 The trajectory pin is the pipeline's acceptance contract: the staged
 pipeline must reproduce the statuses AND functions folded into
@@ -12,7 +13,7 @@ which agreed on them.
 
 import pytest
 
-from repro.benchgen import generate_planted_instance
+from repro.benchgen import build_suite, generate_planted_instance
 from repro.core import (
     DEFAULT_PHASE_NAMES,
     Manthan3,
@@ -22,7 +23,9 @@ from repro.core import (
     SynthesisContext,
     synthesize,
 )
+from repro.core.events import CounterexampleFound
 from repro.core.pipeline import PHASES
+from repro.core.repair import evaluate_vector
 from repro.core.sessions import build_sessions
 from repro.dqbf import check_henkin_vector
 from repro.dqbf.instance import DQBFInstance
@@ -72,6 +75,63 @@ class TestTrajectoryEquivalence:
         runs = run_cases(false_cases())
         assert [r.status for _, r in runs] == [Status.FALSE] * 3
         assert fold(runs) == FALSE_SHA256
+
+
+def _small(name):
+    return next(i for i in build_suite("small", 0) if i.name == name)
+
+
+class TestRepairStopConditions:
+    """The verify–repair loop's UNKNOWN exits: cycle and stagnation."""
+
+    def test_recurring_counterexample_stops_the_loop(self):
+        """This run oscillates between a few counterexamples; without
+        the cycle exit it spends all 400 iterations and ends with
+        "repair iteration budget exhausted"."""
+        events = []
+        result = Manthan3(Manthan3Config(seed=5)).run(
+            _small("ctrl_s5_w2_u3_obs_s7"), listeners=[events.append])
+        assert result.status == Status.UNKNOWN
+        assert result.reason == \
+            "repair cycled: a repaired counterexample recurred"
+        assert 0 < result.stats["repair_iterations"] <= 5
+        cexes = [e for e in events if isinstance(e, CounterexampleFound)]
+        assert len(cexes) == result.stats["repair_iterations"]
+
+    def test_stagnation_exit_unchanged(self):
+        """Rounds that modify nothing do not arm the cycle check."""
+        result = Manthan3(Manthan3Config(seed=5)).run(
+            _small("pec_n7_o3_b2_d3_unsat_s3"))
+        assert result.status == Status.UNKNOWN
+        assert result.reason == \
+            "repair stagnated (incompleteness, paper §5)"
+        assert result.stats["repair_iterations"] == 3
+
+    @pytest.mark.parametrize("name", [
+        "ctrl_s5_w2_u3_obs_s7", "ctrl_s4_w2_u2_obs_s6",
+        "planted_x22_y4_w19_r10_s14", "dpec_n20_o3_w10_s36"])
+    def test_counterexample_outputs_are_candidate_outputs(
+            self, monkeypatch, name):
+        """The cycle key's δ[Y′] is a function of σ[X] and the current
+        candidates: the verifier's ``sigma_yp`` equals the scalar
+        evaluation of the candidate vector on ``sigma_x``."""
+        import repro.core.pipeline as pl
+
+        real_run_verify = pl.run_verify
+        checked = []
+
+        def verify_and_check(ctx):
+            outcome = real_run_verify(ctx)
+            if outcome.verdict == "COUNTEREXAMPLE":
+                assert outcome.sigma_yp == evaluate_vector(
+                    ctx.candidates, ctx.order, outcome.sigma_x)
+                checked.append(ctx.iteration)
+            return outcome
+
+        monkeypatch.setattr(pl, "run_verify", verify_and_check)
+        result = Manthan3(Manthan3Config(seed=5)).run(_small(name))
+        assert checked
+        assert len(checked) >= result.stats["repair_iterations"]
 
 
 class TestAnytimePartials:

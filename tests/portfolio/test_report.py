@@ -59,6 +59,30 @@ class TestRenderReport:
         text = "\n".join(render_report(build_table()))
         assert "incompleteness (UNKNOWN): 1" in text
 
+    def test_incompleteness_split_by_stop_reason(self):
+        reasons = {
+            "cyc1": "repair cycled: a repaired counterexample recurred",
+            "cyc2": "repair cycled: a repaired counterexample recurred",
+            "stag": "repair stagnated (incompleteness, paper §5)",
+            "cap": "repair iteration budget exhausted",
+            "misc": "pipeline ended without a verdict",
+            "nobody": "repair cycled: a repaired counterexample recurred",
+        }
+        records = []
+        for inst, reason in reasons.items():
+            records.append(RunRecord("manthan3", inst, Status.UNKNOWN,
+                                     0.1, reason=reason))
+            other = Status.UNKNOWN if inst == "nobody" \
+                else Status.SYNTHESIZED
+            records.append(RunRecord("expansion", inst, other, 1.0,
+                                     certified=True))
+        lines = render_report(ResultTable(records, timeout=10.0))
+        at = lines.index("  incompleteness (UNKNOWN): 5")
+        # "nobody" is unsolved by every engine, so it is not counted.
+        assert [l.split() for l in lines[at + 1:at + 5]] == [
+            ["cycled:", "2"], ["stagnated:", "1"],
+            ["iteration", "cap:", "1"], ["other:", "1"]]
+
     def test_phase_breakdown_absent_without_phase_stats(self):
         text = "\n".join(render_report(build_table()))
         assert "per-phase time breakdown" not in text
