@@ -139,8 +139,8 @@ class PedantLikeSynthesizer:
     # ------------------------------------------------------------------
     def _extract_definitions(self, instance, deadline, rng):
         fixed = {}
-        gates = find_gate_definitions(instance.matrix,
-                                      candidates=set(instance.existentials))
+        gates = {y: matches[0] for y, matches in find_gate_definitions(
+            instance.matrix, candidates=set(instance.existentials)).items()}
 
         def input_ok(y, v):
             hy = instance.dependencies[y]

@@ -106,10 +106,14 @@ def generate_defined_pec_instance(num_inputs=20, num_outputs=3,
     every input — the boxes are **uniquely defined** over their
     observation sets.  With wide X (default 20) clause-local expansion
     blows up on the Tseitin clauses (whose relevant set is all of X), so
-    this family is where definition-extraction engines shine: Padoa +
-    tabulation over ``support_width ≤ 12`` bits recovers each box in one
-    shot, while data-driven repair has to approximate a ``support_width``
-    -bit function counterexample by counterexample.
+    this family is where definition-extraction engines shine.  Each box
+    is tied to its golden circuit by ``y ↔ g``, so Manthan3's gate
+    matching recovers the box as that circuit whatever ``support_width``
+    is: the Tseitin auxiliaries declare all of X, but the circuit they
+    ground to reads only the box's support.  Padoa + tabulation would
+    need ``support_width`` within ``max_unique_table_bits`` (default 8);
+    data-driven repair has to approximate a ``support_width``-bit
+    function counterexample by counterexample.
     """
     rng = make_rng(seed)
     inputs = list(range(1, num_inputs + 1))

@@ -73,11 +73,18 @@ class DependencyTracker:
         self.graph.add_nodes_from(existentials)
         self._descendants = {}
 
-    def seed_subset_pairs(self, instance):
+    def seed_subset_pairs(self, instance, fixed=()):
         """Lines 3–5 of Algorithm 1: ``Hj ⊂ Hi`` fixes the direction
-        upfront — ``yi`` may (eventually) use ``yj``, never vice versa."""
+        upfront — ``yi`` may (eventually) use ``yj``, never vice versa.
+
+        No edge leaves a ``fixed`` output: its function is final, and a
+        seeded edge could close a cycle with the edges of its definition
+        (a Tseitin auxiliary with ``H = X`` seeded towards the narrower
+        output whose definition reads it).
+        """
         for yi, yj in instance.dependency_subset_pairs():
-            self._add_edge(yi, yj)
+            if yi not in fixed:
+                self._add_edge(yi, yj)
 
     def record_use(self, yi, used_ys):
         """``yi``'s candidate uses each ``yk ∈ used_ys``."""
@@ -190,7 +197,7 @@ def learn_all_candidates(instance, samples, config, fixed=None, stats=None):
     if not isinstance(samples, SampleMatrix):
         samples = SampleMatrix.from_models(samples)
     tracker = DependencyTracker(instance.existentials)
-    tracker.seed_subset_pairs(instance)
+    tracker.seed_subset_pairs(instance, fixed=fixed)
     candidates = dict(fixed)
     y_set = set(instance.existentials)
     # Fixed (preprocessed) candidates may reference other existentials

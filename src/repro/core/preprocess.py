@@ -10,8 +10,12 @@ Mirrors the paper implementation's use of preprocessing before learning:
   so later checks benefit.
 * **Unique definitions** (the UNIQUE component): syntactic gate matching
   first, then Padoa's method + truth-table extraction for small
-  dependency sets.  A definition whose support fits inside ``H_i`` is a
-  final function — it is excluded from learning and repair.
+  dependency sets.  A gate definition is accepted when its *grounded
+  support* — the universals it reads once the existentials it mentions
+  are substituted — fits inside ``H_i``; this is semantic gate
+  extraction (Slivovsky, CAV 2020) restricted to the gates the matrix
+  spells out.  An accepted definition is a final function — it is
+  excluded from learning and repair.
 """
 
 from repro.formula import boolfunc as bf
@@ -124,12 +128,24 @@ def extract_unique_functions(instance, skip=(), max_table_bits=8,
     """Definitions for uniquely defined existentials (gates, then Padoa).
 
     Gate definitions may reference other existential variables (Tseitin
-    encodings of circuits are definition DAGs): a definition for ``y`` is
-    accepted when every input is either in ``H_y``, an already-accepted
-    definition with smaller dependency set, or a *learnable* existential
-    ``yj`` with ``Hj ⊆ Hy`` (the final substitution grounds it out).
-    Mutually-referencing definitions are left to the learner, which keeps
-    the accepted set acyclic by construction.
+    encodings of circuits are definition DAGs).  Each output keeps every
+    gate it matches, forward ones first, and takes the first whose inputs
+    all pass.  An input passes when the universals its function will read
+    once grounded lie inside ``H_y``:
+
+    * a universal in ``H_y``;
+    * an accepted gate definition whose *grounded support* — its
+      universal inputs plus the grounded supports of its existential
+      inputs — is a subset of ``H_y``, even when the input's declared
+      dependency set is wider (a Tseitin auxiliary declares all of X);
+    * a Padoa-defined or *learnable* existential ``yj`` (one with no gate
+      match) with ``Hj ⊆ H_y``; its function reads at most ``Hj``.
+
+    So the composed function of every accepted ``y`` reads only ``H_y``,
+    and the Henkin condition holds exactly.  A gate-matched input that is
+    not yet accepted never passes, so mutually-referencing definitions
+    are left to the learner and the accepted set stays acyclic by
+    construction.
 
     ``out`` / ``stats`` are optional in-place accumulators (see
     :func:`detect_unates`): definitions accepted before a budget
@@ -140,22 +156,33 @@ def extract_unique_functions(instance, skip=(), max_table_bits=8,
     stats.setdefault("gates", 0)
     stats.setdefault("padoa", 0)
     skip = set(skip)
+    dependencies = instance.dependencies
 
     candidates_set = set(instance.existentials) - skip
     gate_defs = find_gate_definitions(instance.matrix,
                                       candidates=candidates_set)
+    grounded = {}  # accepted y -> universals its grounded function reads
 
-    def input_ok(y, v):
-        hy = instance.dependencies[y]
-        if v in hy:
-            return True
-        if v not in instance.dependencies:      # some other universal
-            return False
-        if not (instance.dependencies[v] <= hy):
-            return False
-        if v in fixed:
-            return True                          # accepted definition
-        return v not in gate_defs                # plain learnable output
+    def grounded_support(y, gate):
+        """The gate's grounded support if it fits ``H_y``, else None."""
+        hy = dependencies[y]
+        support = set()
+        for v in gate.input_vars:
+            if v in hy:
+                support.add(v)
+                continue
+            if v not in dependencies:            # some other universal
+                return None
+            if v in grounded:
+                reads = grounded[v]
+            elif v in gate_defs:                 # not accepted (yet)
+                return None
+            else:
+                reads = dependencies[v]          # plain learnable output
+            if not reads <= hy:
+                return None
+            support |= reads
+        return support
 
     # Alternate the syntactic fixpoint with Padoa extraction: a gate
     # definition can become acceptable once the existential it references
@@ -167,18 +194,22 @@ def extract_unique_functions(instance, skip=(), max_table_bits=8,
         changed = True
         while changed:
             changed = False
-            for y, gate in gate_defs.items():
+            for y, gates in gate_defs.items():
                 if y in fixed:
                     continue
-                if all(input_ok(y, v) for v in gate.input_vars):
-                    fixed[y] = gate.expr
-                    stats["gates"] += 1
-                    changed = True
-                    progressed = True
+                for gate in gates:
+                    support = grounded_support(y, gate)
+                    if support is not None:
+                        fixed[y] = gate.expr
+                        grounded[y] = support
+                        stats["gates"] += 1
+                        changed = True
+                        progressed = True
+                        break
         for y in instance.existentials:
             if y in fixed or y in skip or y in not_unique:
                 continue
-            deps = instance.dependencies[y]
+            deps = dependencies[y]
             if len(deps) > max_table_bits:
                 continue
             if deadline is not None and deadline.expired():
@@ -195,6 +226,7 @@ def extract_unique_functions(instance, skip=(), max_table_bits=8,
                                           rng=rng)
                 if expr is not None:
                     fixed[y] = expr
+                    grounded[y] = deps
                     stats["padoa"] += 1
                     progressed = True
             else:

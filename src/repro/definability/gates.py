@@ -44,15 +44,19 @@ def find_gate_definitions(cnf, candidates=None):
     candidates:
         Variables allowed as gate outputs (default: all variables).
 
-    Some patterns are symmetric — the four XOR clauses of ``y ↔ a ⊕ b``
-    equally match ``a ↔ y ⊕ b`` — so all matches are collected first and
-    one definition per output is then selected, preferring *forward*
-    definitions whose inputs all have smaller variable indices than the
-    output.  Tseitin encodings allocate gate outputs after their inputs,
-    so the preference recovers the original circuit orientation and keeps
-    the definition graph acyclic.
+    An output can match several patterns.  Some are symmetric — the four
+    XOR clauses of ``y ↔ a ⊕ b`` equally match ``a ↔ y ⊕ b`` — and a
+    circuit node ``g`` tied to an outside variable by ``y ↔ g`` matches
+    both its own gate and ``g ↔ y``.  Every match is kept, *forward*
+    definitions first: those whose inputs all have smaller variable
+    indices than the output.  Tseitin encodings allocate gate outputs
+    after their inputs, so a forward match follows the original circuit
+    orientation.  Even so ``g ↔ y`` is forward when ``y`` was allocated
+    before the circuit, so callers that need an acyclic definition graph
+    take the first match whose inputs they can accept.
 
-    Returns ``{output_var: GateDefinition}``.
+    Returns ``{output_var: [GateDefinition, ...]}``, forward matches
+    first and each group in discovery order.
     """
     candidates = set(candidates) if candidates is not None else None
     clause_set = set(tuple(sorted(c)) for c in cnf.clauses)
@@ -86,9 +90,9 @@ def find_gate_definitions(cnf, candidates=None):
             if mirror in clause_set:
                 record(y, "EQ", (other,), bf.lit(other))
 
-    # AND / OR gates of arbitrary fan-in.
+    # AND / OR gates of fan-in ≥ 2 (fan-in 1 is the equality above).
     for clause in clause_set:
-        if len(clause) < 2:
+        if len(clause) < 3:
             continue
         for y_lit in clause:
             y = lit_var(y_lit)
@@ -139,10 +143,7 @@ def find_gate_definitions(cnf, candidates=None):
                 record(y, "XOR", (a, b),
                        bf.xor(bf.lit(a), bf.lit(b)))
 
-    # Select one definition per output: forward orientation first.
-    definitions = {}
+    # Forward orientation first; the sort is stable within each group.
     for y, options in matches.items():
-        forward = [d for d in options
-                   if all(v < y for v in d.input_vars)]
-        definitions[y] = (forward or options)[0]
-    return definitions
+        options.sort(key=lambda d: not all(v < y for v in d.input_vars))
+    return matches

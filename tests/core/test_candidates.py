@@ -1,5 +1,8 @@
 """Tests for candidate learning and dependency tracking (Algorithm 2)."""
 
+import pytest
+
+from repro.benchgen import build_suite
 from repro.core.candidates import (
     DependencyTracker,
     feature_set_for,
@@ -7,9 +10,12 @@ from repro.core.candidates import (
     learn_candidate,
 )
 from repro.core.config import Manthan3Config
+from repro.core.order import find_order
+from repro.core.preprocess import preprocess
 from repro.dqbf.instance import DQBFInstance
 from repro.formula.bitvec import SampleMatrix
 from repro.formula.cnf import CNF
+from repro.utils.errors import SolverError
 
 
 def make(universals, deps, clauses):
@@ -24,6 +30,36 @@ class TestDependencyTracker:
         # H3 ⊂ H4: y4 may use y3, y3 must not use y4.
         assert tracker.may_use(4, 3)
         assert not tracker.may_use(3, 4)
+
+    def test_seed_subset_pairs_skips_fixed_outputs(self):
+        inst = make([1, 2], {3: [1], 4: [1, 2]}, [[3, 4]])
+        tracker = DependencyTracker(inst.existentials)
+        tracker.seed_subset_pairs(inst, fixed={4})
+        assert list(tracker.edges()) == []
+
+    def test_find_order_on_composed_box_definitions(self):
+        """Each dpec box output reads its circuit's Tseitin auxiliaries,
+        whose dependency sets are all of X; seeding subset pairs out of
+        those fixed auxiliaries would close a cycle."""
+        inst = next(i for i in build_suite("small", 0)
+                    if i.name == "dpec_n22_o3_w11_s37")
+        fixed = preprocess(inst, Manthan3Config()).fixed
+        y_set = set(inst.existentials)
+
+        def tracker_with_fixed_edges(seeded_fixed):
+            tracker = DependencyTracker(inst.existentials)
+            tracker.seed_subset_pairs(inst, fixed=seeded_fixed)
+            for y, expr in fixed.items():
+                tracker.record_use(y, expr.support() & y_set)
+            return tracker
+
+        order = find_order(inst, tracker_with_fixed_edges(fixed))
+        position = {y: i for i, y in enumerate(order)}
+        for y, expr in fixed.items():
+            assert all(position[y] < position[v]
+                       for v in expr.support() & y_set)
+        with pytest.raises(SolverError):
+            find_order(inst, tracker_with_fixed_edges(()))
 
     def test_no_self_use(self):
         tracker = DependencyTracker([3])

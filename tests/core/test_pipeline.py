@@ -6,9 +6,10 @@ The trajectory pin is the pipeline's acceptance contract: the staged
 pipeline must reproduce the statuses AND functions folded into
 ``trajectory.ENGINE_SHA256`` / ``FALSE_SHA256`` exactly (same RNG spawn
 sequence, same oracle calls), across the planted/controller/pec
-families, at engine and campaign level.  The constants were recorded
-from both the staged pipeline and the pre-pipeline monolith it replaced,
-which agreed on them.
+families, at engine and campaign level.  The first constants were
+recorded from both the staged pipeline and the pre-pipeline monolith it
+replaced, which agreed on them; changes meant to alter the trajectory
+re-baseline them deliberately.
 """
 
 import pytest
@@ -109,7 +110,7 @@ class TestRepairStopConditions:
 
     @pytest.mark.parametrize("name", [
         "ctrl_s5_w2_u3_obs_s7", "ctrl_s4_w2_u2_obs_s6",
-        "planted_x22_y4_w19_r10_s14", "dpec_n20_o3_w10_s36"])
+        "planted_x22_y4_w19_r10_s14", "coupled_x10_w8_p2_s42"])
     def test_counterexample_outputs_are_candidate_outputs(
             self, monkeypatch, name):
         """The cycle key's δ[Y′] is a function of σ[X] and the current

@@ -1,8 +1,13 @@
 """Tests for unate detection and unique-function preprocessing."""
 
+from repro.benchgen.pec import generate_defined_pec_instance
+from repro.core import Manthan3
 from repro.core.config import Manthan3Config
+from repro.core.order import ground_vector
 from repro.core.preprocess import detect_unates, extract_unique_functions, \
     preprocess
+from repro.core.result import Status
+from repro.dqbf.certificates import check_henkin_vector
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
@@ -79,6 +84,53 @@ class TestUniqueExtraction:
         # gate detection may still catch it; padoa tabulation must not.
         if 12 in fixed:
             assert fixed[12].support() <= set(xs)
+
+
+class TestGroundedSupport:
+    """A definition may read an existential whose declared dependency set
+    is wider than ``H_y`` when the function it grounds to is not."""
+
+    def test_auxiliary_with_narrow_grounded_support_accepted(self):
+        # y4 ↔ a5, a5 ↔ (x1 ∧ x2); H_a = X, H_y = {x1, x2}.
+        inst = make([1, 2, 3], {4: [1, 2], 5: [1, 2, 3]},
+                    [[-4, 5], [4, -5], [-5, 1], [-5, 2], [5, -1, -2]])
+        fixed, stats = extract_unique_functions(inst)
+        assert set(fixed) == {4, 5} and stats["gates"] == 2
+        grounded = ground_vector(inst, fixed)
+        assert grounded[4].support() <= inst.dependencies[4]
+        assert check_henkin_vector(inst, grounded).valid
+
+    def test_auxiliary_reading_outside_h_y_rejected(self):
+        # a5 ↔ (x1 ∧ x3) reads x3 ∉ H_y: y4 ↔ a5 must not be accepted.
+        inst = make([1, 2, 3], {4: [1, 2], 5: [1, 2, 3]},
+                    [[-4, 5], [4, -5], [-5, 1], [-5, 3], [5, -1, -3]])
+        fixed, _ = extract_unique_functions(inst)
+        assert 5 in fixed
+        assert 4 not in fixed
+
+    def test_two_level_auxiliary_chain_accepted(self):
+        # y5 ↔ b7, b7 ↔ (a6 ∨ x3), a6 ↔ (x1 ∧ x2); H_a = H_b = X.
+        inst = make([1, 2, 3, 4],
+                    {5: [1, 2, 3], 6: [1, 2, 3, 4], 7: [1, 2, 3, 4]},
+                    [[-5, 7], [5, -7],
+                     [7, -6], [7, -3], [-7, 6, 3],
+                     [-6, 1], [-6, 2], [6, -1, -2]])
+        fixed, stats = extract_unique_functions(inst)
+        assert set(fixed) == {5, 6, 7}
+        assert stats == {"gates": 3, "padoa": 0}
+        grounded = ground_vector(inst, fixed)
+        assert grounded[5].support() == {1, 2, 3}
+        assert check_henkin_vector(inst, grounded).valid
+
+    def test_box_width_costs_no_repair(self):
+        """A 16-bit dpec box grounds to its golden circuit: no table,
+        no repair."""
+        inst = generate_defined_pec_instance(num_inputs=24,
+                                             support_width=16, seed=7)
+        result = Manthan3(Manthan3Config(seed=0)).run(inst)
+        assert result.status == Status.SYNTHESIZED
+        assert result.stats["repair_iterations"] == 0
+        assert check_henkin_vector(inst, result.functions).valid
 
 
 class TestPreprocessFacade:

@@ -12,30 +12,30 @@ class TestPatterns:
         cnf = CNF([[-3, 1], [-3, 2], [3, -1, -2]])
         defs = find_gate_definitions(cnf)
         assert 3 in defs
-        assert defs[3].kind == "AND"
-        assert defs[3].input_vars == frozenset({1, 2})
+        assert defs[3][0].kind == "AND"
+        assert defs[3][0].input_vars == frozenset({1, 2})
 
     def test_or_gate(self):
         cnf = CNF([[3, -1], [3, -2], [-3, 1, 2]])
         defs = find_gate_definitions(cnf)
-        assert defs[3].kind == "OR"
+        assert defs[3][0].kind == "OR"
 
     def test_equality_gate(self):
         cnf = CNF([[-3, 1], [3, -1]])
         defs = find_gate_definitions(cnf)
         assert 3 in defs
-        assert defs[3].expr is bf.var(1)
+        assert defs[3][0].expr is bf.var(1)
 
     def test_negation_gate(self):
         cnf = CNF([[-3, -1], [3, 1]])
         defs = find_gate_definitions(cnf)
         assert 3 in defs
-        assert defs[3].expr is bf.not_(bf.var(1))
+        assert defs[3][0].expr is bf.not_(bf.var(1))
 
     def test_xor_gate(self):
         cnf = CNF([[-3, 1, 2], [-3, -1, -2], [3, -1, 2], [3, 1, -2]])
         defs = find_gate_definitions(cnf)
-        assert defs[3].kind == "XOR"
+        assert defs[3][0].kind == "XOR"
 
     def test_and_with_negated_inputs(self):
         # y3 ↔ (¬1 ∧ 2)
@@ -43,12 +43,12 @@ class TestPatterns:
         defs = find_gate_definitions(cnf)
         assert 3 in defs
         env = {1: False, 2: True}
-        assert defs[3].expr.evaluate(env)
+        assert defs[3][0].expr.evaluate(env)
 
     def test_wide_and(self):
         cnf = CNF([[-5, 1], [-5, 2], [-5, 3], [-5, 4], [5, -1, -2, -3, -4]])
         defs = find_gate_definitions(cnf)
-        assert defs[5].input_vars == frozenset({1, 2, 3, 4})
+        assert defs[5][0].input_vars == frozenset({1, 2, 3, 4})
 
     def test_candidates_filter(self):
         cnf = CNF([[-3, 1], [3, -1]])
@@ -58,6 +58,18 @@ class TestPatterns:
         # only half of the AND pattern present
         cnf = CNF([[-3, 1], [-3, 2]])
         assert 3 not in find_gate_definitions(cnf)
+
+
+class TestMatchOrder:
+    def test_every_match_kept_forward_first(self):
+        # g4 ↔ (x1 ∧ x2) and y5 ↔ g4: g4 matches its AND gate (forward)
+        # and g4 ↔ y5 (backward, found first by the equality scan).
+        cnf = CNF([[-4, 1], [-4, 2], [4, -1, -2], [-5, 4], [5, -4]])
+        defs = find_gate_definitions(cnf)
+        assert [(d.kind, d.input_vars) for d in defs[4]] == \
+            [("AND", frozenset({1, 2})), ("EQ", frozenset({5}))]
+        assert [(d.kind, d.input_vars) for d in defs[5]][0] == \
+            ("EQ", frozenset({4}))
 
 
 class TestSemantics:
@@ -74,7 +86,7 @@ class TestSemantics:
         # gate semantics: check each definition on all inputs
         import itertools
 
-        for y, gate in defs.items():
+        for gate in (g for gates in defs.values() for g in gates):
             ins = sorted(gate.input_vars)
             for bits in itertools.product([False, True], repeat=len(ins)):
                 env = dict(zip(ins, bits))

@@ -34,7 +34,7 @@ from repro.formula.cnf import CNF
 #: Digest of :func:`engine_cases` (planted/controller/pec families plus a
 #: small-suite slice that used to vary between processes).
 ENGINE_SHA256 = \
-    "f44c12255674afee95a8e05ade1a58449bdeb49e2ee242fc96b7d31a97742bd2"
+    "db3c4a89b3ba30882e5978d9ea1c280699d199509c28493a123c4776a9711b2c"
 
 #: Digest of :func:`false_cases` (the three FALSE proof routes).
 FALSE_SHA256 = \
@@ -42,7 +42,7 @@ FALSE_SHA256 = \
 
 #: Digest of the whole ``small`` suite (built with seed 0, engine seed 5).
 SMALL_SUITE_SHA256 = \
-    "c165b8ffa2dbdba283fbbdb44d71b4d463758f580e0139fa7f9de1127bb7a298"
+    "58d6c9c33b1e13865b1ce5e10bfd3007848eab8644876a82f16e1d6da6c6e5b9"
 
 #: ``small``-suite instances in the engine cases.  Under the old
 #: address-based ``BoolExpr`` hash, ``pec_n20_..._s17`` ended SYNTHESIZED
