@@ -111,7 +111,7 @@ def generate_defined_pec_instance(num_inputs=20, num_outputs=3,
     matching recovers the box as that circuit whatever ``support_width``
     is: the Tseitin auxiliaries declare all of X, but the circuit they
     ground to reads only the box's support.  Padoa + tabulation would
-    need ``support_width`` within ``max_unique_table_bits`` (default 8);
+    need ``support_width`` within ``MAX_UNIQUE_TABLE_BITS`` (8);
     data-driven repair has to approximate a ``support_width``-bit
     function counterexample by counterexample.
     """

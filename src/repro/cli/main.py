@@ -80,9 +80,7 @@ def _phase_progress(event):
     if event.kind == "phase_started":
         print("  phase %-14s ..." % event.phase, file=sys.stderr)
     elif event.kind == "phase_finished":
-        print("  phase %-14s %8.3f s%s"
-              % (event.phase, event.elapsed,
-                 "  [truncated]" if event.truncated else ""),
+        print("  phase %-14s %8.3f s" % (event.phase, event.elapsed),
               file=sys.stderr)
     elif event.kind == "counterexample_found":
         print("  cex #%d" % (event.iteration + 1), file=sys.stderr)

@@ -26,21 +26,8 @@ from repro.learning.tree_to_formula import tree_to_expr
 
 
 def run_learning(ctx):
-    """Pipeline phase entry: learn all candidates into the context.
-
-    Reaching this phase with no samples means the sample phase was
-    truncated by a sub-budget (a completed draw with zero samples ends
-    the run as FALSE before learning); there is nothing to train on, so
-    the run finishes as TIMEOUT — the context still carries whatever
-    preprocessing fixed, which becomes the anytime partial.
-    """
-    from repro.core.context import Finish
-    from repro.core.result import Status
-
-    if not ctx.samples:
-        return Finish(Status.TIMEOUT,
-                      reason="sampling truncated before any samples "
-                             "were drawn")
+    """Pipeline phase entry: learn all candidates into the context."""
+    ctx.deadline.check()
     learn_stats = {}
     ctx.candidates, ctx.tracker = learn_all_candidates(
         ctx.instance, ctx.samples, ctx.config, fixed=ctx.fixed,
@@ -164,10 +151,7 @@ def learn_candidate(instance, yi, samples, tracker, config, fixed=(),
     """
     features = feature_set_for(instance, yi, tracker, fixed=fixed,
                                use_y_features=config.use_y_features)
-    tree = DecisionTree(
-        max_depth=config.tree_max_depth,
-        min_impurity_decrease=config.tree_min_impurity_decrease,
-    )
+    tree = DecisionTree()
     started = time.perf_counter()
     tree.fit_bitset(samples.columns, samples.column(yi), features,
                     samples.num_rows)

@@ -1,14 +1,12 @@
 """The first-class synthesis context: one object for all run state.
 
-Pre-pipeline, ``Manthan3._run`` threaded 8+ loose locals (rng streams,
-sessions, sampler, candidate dict, tracker, order, repair counters, …)
-through a 150-line monolith; a timeout threw the whole lot away.  The
-:class:`SynthesisContext` makes that state explicit and shared: every
-pipeline phase (:mod:`repro.core.pipeline`) reads and writes the same
-context, so budgets can interrupt any phase without losing what earlier
-phases accumulated — accumulated statistics and the best-so-far
-candidate vector survive into the final :class:`SynthesisResult` as
-anytime partials.
+Every pipeline phase (:mod:`repro.core.pipeline`) reads and writes the
+same :class:`SynthesisContext` — rng streams, oracle sessions, sampler,
+candidate vector, dependency tracker, order, repair bookkeeping and
+statistics — so a deadline can interrupt any phase without losing what
+earlier phases accumulated: the accumulated statistics and the
+best-so-far candidate vector survive into the final
+:class:`SynthesisResult` as anytime partials.
 
 The context also owns the run's RNG discipline.  ``spawn`` consumes
 parent-RNG state, so the *sequence* of ``ctx.spawn(salt)`` calls is part
@@ -55,16 +53,8 @@ class SynthesisContext:
     ----------
     instance / config:
         The DQBF under synthesis and the engine configuration.
-    run_deadline / deadline:
-        ``run_deadline`` is the whole-run wall-clock budget;
-        ``deadline`` is the *active* deadline phases must honor — the
-        pipeline swaps in a tighter sub-deadline while a phase with a
-        ``config.phase_budgets`` entry runs, and restores the global one
-        after.
-    active_config:
-        ``config``, or a per-phase copy with ``sat_conflict_budget``
-        overridden by ``config.phase_conflict_budgets``.  Phase code
-        passes this (not ``config``) to conflict-budgeted kernels.
+    deadline:
+        The whole-run wall-clock budget every phase honors.
     rng / oracle_rng:
         The run's root RNG and the oracle-session stream.  The oracle
         stream is drawn at construction, before any phase spawns, so
@@ -72,7 +62,7 @@ class SynthesisContext:
         sessions are built.
     stats:
         The accumulated statistics dict — lives on the context (not in
-        a phase) precisely so budget exhaustion cannot drop it.
+        a phase) precisely so deadline expiry cannot drop it.
     matrix_session / verifier_session / sessions / sampler / samples:
         Oracle state: the persistent solvers (``None`` until the sample
         phase builds them), and the drawn sample set (a packed
@@ -100,9 +90,7 @@ class SynthesisContext:
                  listeners=None, cancel=None):
         self.instance = instance
         self.config = config or Manthan3Config()
-        self.run_deadline = deadline or Deadline(None)
-        self.deadline = self.run_deadline
-        self.active_config = self.config
+        self.deadline = deadline or Deadline(None)
         self.stopwatch = Stopwatch()
         self.rng = make_rng(self.config.seed)
         # Drawn here, first, so the sampler/preprocess/loop streams
@@ -161,33 +149,6 @@ class SynthesisContext:
         the trajectory contract (see the module docstring).
         """
         return spawn(self.rng, salt)
-
-    # ------------------------------------------------------------------
-    # per-phase budgets (driven by the pipeline)
-    # ------------------------------------------------------------------
-    @property
-    def conflict_budget(self):
-        """The conflict cap phases pass to individual oracle calls."""
-        return self.active_config.sat_conflict_budget
-
-    def enter_phase(self, name):
-        """Install the named phase's sub-budgets; returns whether any
-        per-phase budget is active (the pipeline uses that to tell a
-        phase-local exhaustion from a global one)."""
-        config = self.config
-        seconds = (config.phase_budgets or {}).get(name)
-        conflicts = (config.phase_conflict_budgets or {}).get(name)
-        self.deadline = (self.run_deadline if seconds is None
-                         else self.run_deadline.sub(seconds))
-        self.active_config = (config if conflicts is None
-                              else config.replaced(
-                                  sat_conflict_budget=conflicts))
-        return seconds is not None or conflicts is not None
-
-    def exit_phase(self):
-        """Restore the global deadline and configuration."""
-        self.deadline = self.run_deadline
-        self.active_config = self.config
 
     # ------------------------------------------------------------------
     # anytime partials

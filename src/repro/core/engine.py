@@ -1,18 +1,16 @@
 """The Manthan3 engine: Algorithm 1 end to end.
 
-Since the staged-pipeline refactor this module is thin: ``Manthan3``
-owns a :class:`~repro.core.pipeline.Pipeline` (the paper's phase
-sequence by default, any phase list for ablation variants) and each
-``run()`` executes it over a fresh
-:class:`~repro.core.context.SynthesisContext`.  Budget handling,
-per-phase timing, and anytime partial results all live at the pipeline
-layer.
+This module is thin: ``Manthan3`` owns a
+:class:`~repro.core.pipeline.Pipeline` (the paper's phase sequence by
+default, any phase list for ablation variants) and each ``run()``
+executes it over a fresh :class:`~repro.core.context.SynthesisContext`.
+Deadline handling, per-phase timing, and anytime partial results all
+live at the pipeline layer.
 """
 
 from repro.core.config import Manthan3Config
 from repro.core.context import SynthesisContext
 from repro.core.pipeline import Pipeline
-from repro.utils.errors import ReproError
 from repro.utils.timer import Deadline
 
 
@@ -45,23 +43,11 @@ class Manthan3:
     def __init__(self, config=None, phases=None):
         self.config = config or Manthan3Config()
         self.pipeline = Pipeline(phases)
-        self._check_budget_keys()
-
-    def _check_budget_keys(self):
-        """Reject budgets for phases this pipeline will never run."""
-        known = set(self.pipeline.phase_names())
-        for field in ("phase_budgets", "phase_conflict_budgets"):
-            for name in (getattr(self.config, field) or {}):
-                if name not in known:
-                    raise ReproError(
-                        "%s names unknown phase %r (this pipeline runs "
-                        "%s)" % (field, name,
-                                 ", ".join(self.pipeline.phase_names())))
 
     def run(self, instance, timeout=None, listeners=None, cancel=None):
         """Synthesize Henkin functions for ``instance``.
 
-        ``timeout`` (seconds) bounds the whole run; budget exhaustion
+        ``timeout`` (seconds) bounds the whole run; its expiry
         yields ``Status.TIMEOUT`` carrying the accumulated stats and
         the best-so-far candidates as anytime partials.
 

@@ -1,12 +1,11 @@
 """Typed solve events: the structured progress stream of the façade.
 
-Every front end used to invent its own progress channel (the CLI's
-``_print_progress``, ad-hoc stderr writes in examples).  The staged
-pipeline now emits *typed events* at its phase and loop boundaries, and
-any listener subscribed through :meth:`repro.api.Solver.subscribe`
-receives them — in-process for ``solve()``, relayed over the worker IPC
-pipe for ``solve_batch()`` (the relay stamps ``engine``/``instance`` on
-each event so a batch listener can tell the streams apart).
+The staged pipeline emits *typed events* at its phase and loop
+boundaries, and any listener subscribed through
+:meth:`repro.api.Solver.subscribe` receives them — in-process for
+``solve()``, relayed over the worker IPC pipe for ``solve_batch()`` (the
+relay stamps ``engine``/``instance`` on each event so a batch listener
+can tell the streams apart).
 
 Events are plain picklable value objects; with no listener subscribed
 none is even constructed (guarded at the emission sites; pinned by
@@ -16,8 +15,7 @@ The event vocabulary:
 
 ===================== =================================================
 :class:`PhaseStarted`        a pipeline phase began
-:class:`PhaseFinished`       it ended (with wall time and whether a
-                             sub-budget truncated it)
+:class:`PhaseFinished`       it ended (with its wall time)
 :class:`CounterexampleFound` verification found σ[X] refuting the
                              current candidate vector
 :class:`RepairRound`         one repair iteration finished
@@ -85,20 +83,15 @@ class PhaseStarted(Event):
 
 
 class PhaseFinished(Event):
-    """A pipeline phase ended.
+    """A pipeline phase ended after ``elapsed`` seconds."""
 
-    ``truncated`` is True when the phase's own sub-budget (not the
-    global deadline) expired and the pipeline moved on without it.
-    """
-
-    __slots__ = ("phase", "elapsed", "truncated")
+    __slots__ = ("phase", "elapsed")
     kind = "phase_finished"
 
-    def __init__(self, phase, elapsed, truncated=False):
+    def __init__(self, phase, elapsed):
         super().__init__()
         self.phase = phase
         self.elapsed = elapsed
-        self.truncated = truncated
 
 
 class CounterexampleFound(Event):
@@ -122,7 +115,7 @@ class RepairRound(Event):
 
     ``modified`` counts the candidates the round changed; ``stagnation``
     is the current run of zero-modification rounds (the engine gives up
-    at ``config.stagnation_limit``).
+    at :data:`~repro.core.pipeline.STAGNATION_LIMIT`).
     """
 
     __slots__ = ("iteration", "modified", "stagnation")

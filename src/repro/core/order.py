@@ -15,20 +15,8 @@ from repro.utils.errors import SolverError
 
 def run_find_order(ctx):
     """Pipeline phase entry: (re)compute the total order from the
-    context's dependency tracker.
-
-    Reaching this phase without a tracker means the learn phase was
-    truncated by a sub-budget: there is no candidate vector to order,
-    so the run finishes as TIMEOUT (carrying whatever preprocessing
-    fixed as the anytime partial).
-    """
-    from repro.core.context import Finish
-    from repro.core.result import Status
-
-    if ctx.tracker is None:
-        return Finish(Status.TIMEOUT,
-                      reason="learning truncated before a candidate "
-                             "vector was available")
+    context's dependency tracker."""
+    ctx.deadline.check()
     ctx.order = find_order(ctx.instance, ctx.tracker)
 
 

@@ -8,11 +8,9 @@ over a shared :class:`~repro.core.context.SynthesisContext`, and a
 
 * **per-phase timing** — every phase's wall time is recorded under
   ``stats["phases"]``, whatever the verdict;
-* **per-phase sub-budgets** — ``config.phase_budgets`` /
-  ``config.phase_conflict_budgets`` bound individual phases; a phase
-  that exhausts only its own budget is *truncated* (recorded under
-  ``stats["phases_truncated"]``) and the pipeline continues, while
-  global-deadline exhaustion ends the run as ``TIMEOUT``;
+* **one deadline** — the run's wall-clock budget, which every phase
+  after the unit fast path polls as it starts; whichever phase it
+  expires in, the run ends as ``TIMEOUT``;
 * **anytime partials** — ``TIMEOUT``/``UNKNOWN`` results carry the
   context's accumulated stats and the best-so-far candidate vector
   (:attr:`~repro.core.result.SynthesisResult.partial_functions`)
@@ -62,6 +60,10 @@ __all__ = ["DEFAULT_PHASE_NAMES", "PHASES", "Phase", "Pipeline"]
 REPAIR_CYCLED = "repair cycled: a repaired counterexample recurred"
 REPAIR_STAGNATED = "repair stagnated (incompleteness, paper §5)"
 REPAIR_CAP = "repair iteration budget exhausted"
+
+#: Repair rounds in a row that modify no candidate before the loop
+#: declares itself stuck (the paper's incompleteness case, §5).
+STAGNATION_LIMIT = 3
 
 
 class Phase:
@@ -135,9 +137,7 @@ def sample(ctx):
                           backend=config.sat_backend,
                           fallbacks=config.sat_backend_fallbacks)
     ctx.samples = ctx.sampler.draw(config.num_samples,
-                                   deadline=ctx.deadline,
-                                   conflict_budget=ctx.conflict_budget,
-                                   packed=True)
+                                   deadline=ctx.deadline, packed=True)
     ctx.stats["samples"] = len(ctx.samples)
     if not ctx.samples:
         # ϕ itself is unsatisfiable: no X has a Y extension.
@@ -159,18 +159,12 @@ def verify_repair(ctx):
     machine words per column), so the widening sweeps stay cheap.
 
     The loop ends ``UNKNOWN`` in three ways: the iteration cap, repair
-    stagnation (``stagnation_limit`` rounds in a row that modify
+    stagnation (``STAGNATION_LIMIT`` rounds in a row that modify
     nothing), or a cycle — the verifier returns a counterexample
     (σ[X], δ[Y′]) whose earlier repair modified some candidate, so the
     repairs are oscillating rather than converging.
     """
     instance, config = ctx.instance, ctx.config
-    if ctx.candidates is None or ctx.order is None:
-        # An upstream phase (learn/order) was truncated by a sub-budget:
-        # there is nothing verifiable to loop over.
-        return Finish(Status.TIMEOUT,
-                      reason="pipeline truncated before the "
-                             "verify-repair loop")
     ctx.cex_matrix = SampleMatrix(instance.universals)
     ctx.stagnation = 0
     ctx.repair_counts = {}
@@ -181,9 +175,9 @@ def verify_repair(ctx):
     repaired = set()
     for iteration in range(config.max_repair_iterations + 1):
         ctx.iteration = iteration
-        # Kept current every pass so a budget that strikes mid-loop
-        # still reports how far repair got (the verdict exits below
-        # overwrite it with the same value).
+        # Kept current every pass: every exit below reports it as is (a
+        # deadline that strikes mid-loop included), save stagnation's,
+        # which also counts the round it just finished.
         ctx.stats["repair_iterations"] = iteration
         ctx.deadline.check()
         ctx.check_cancelled()
@@ -191,17 +185,14 @@ def verify_repair(ctx):
         if outcome.verdict == "VALID":
             final = substitute_candidates(instance, ctx.candidates,
                                           ctx.order)
-            ctx.stats["repair_iterations"] = iteration
             return Finish(Status.SYNTHESIZED, functions=final)
         if outcome.verdict == "FALSE":
-            ctx.stats["repair_iterations"] = iteration
             return Finish(Status.FALSE,
                           reason="X assignment admits no Y extension",
                           witness=outcome.sigma_x)
         key = (tuple(outcome.sigma_x[x] for x in instance.universals),
                tuple(outcome.sigma_yp[y] for y in instance.existentials))
         if key in repaired:
-            ctx.stats["repair_iterations"] = iteration
             return Finish(Status.UNKNOWN, reason=REPAIR_CYCLED)
         if ctx.listeners:
             ctx.emit(CounterexampleFound(iteration,
@@ -221,10 +212,9 @@ def verify_repair(ctx):
             ctx.stagnation = 0
         if ctx.listeners:
             ctx.emit(RepairRound(iteration, modified, ctx.stagnation))
-        if modified == 0 and ctx.stagnation >= config.stagnation_limit:
+        if modified == 0 and ctx.stagnation >= STAGNATION_LIMIT:
             ctx.stats["repair_iterations"] = iteration + 1
             return Finish(Status.UNKNOWN, reason=REPAIR_STAGNATED)
-    ctx.stats["repair_iterations"] = config.max_repair_iterations
     return Finish(Status.UNKNOWN, reason=REPAIR_CAP)
 
 
@@ -249,20 +239,15 @@ class Pipeline:
                     "unknown pipeline phase %r (choose from %s)"
                     % (entry, ", ".join(sorted(PHASES))))
 
-    def phase_names(self):
-        return tuple(phase.name for phase in self.phases)
-
     def execute(self, ctx):
         """Run the phases; always returns a :class:`SynthesisResult`.
 
         ``ResourceBudgetExceeded`` is handled *here*, at the pipeline
-        layer: a phase sub-budget truncates the phase and moves on, the
-        global deadline finishes the run as ``TIMEOUT`` — in both cases
-        with the context's accumulated stats and anytime partials
-        intact.  ``OperationCancelled`` (the caller's cancellation
-        token, polled before every phase and at each verify–repair
-        iteration) likewise ends the run as ``CANCELLED`` with partials
-        intact.
+        layer: the expired deadline finishes the run as ``TIMEOUT``, with
+        the context's accumulated stats and anytime partials intact.
+        ``OperationCancelled`` (the caller's cancellation token, polled
+        before every phase and at each verify–repair iteration) likewise
+        ends the run as ``CANCELLED`` with partials intact.
 
         Subscribed listeners receive :class:`PhaseStarted` /
         :class:`PhaseFinished` around every phase,
@@ -278,49 +263,27 @@ class Pipeline:
                 finish = Finish(Status.CANCELLED,
                                 reason="cancelled by caller")
                 break
-            bounded = ctx.enter_phase(phase.name)
-            truncated = False
             if ctx.listeners:
                 ctx.emit(PhaseStarted(phase.name))
             watch = Stopwatch().start()
             try:
-                if bounded and ctx.deadline.expired() \
-                        and not ctx.run_deadline.expired():
-                    raise ResourceBudgetExceeded(
-                        "phase %r budget pre-exhausted" % phase.name)
                 outcome = phase.run(ctx)
             except OperationCancelled:
                 outcome = Finish(Status.CANCELLED,
                                  reason="cancelled by caller")
             except ResourceBudgetExceeded:
-                if bounded and not ctx.run_deadline.expired():
-                    # Only this phase's sub-budget died: truncate it and
-                    # keep going with whatever it accumulated.
-                    ctx.stats.setdefault("phases_truncated",
-                                         []).append(phase.name)
-                    outcome = None
-                    truncated = True
-                else:
-                    outcome = Finish(Status.TIMEOUT,
-                                     reason="budget exhausted")
+                outcome = Finish(Status.TIMEOUT, reason="budget exhausted")
             finally:
                 elapsed = timings.get(phase.name, 0.0) + watch.stop()
                 timings[phase.name] = round(elapsed, 6)
             if ctx.listeners:
-                ctx.emit(PhaseFinished(phase.name, elapsed,
-                                       truncated=truncated))
+                ctx.emit(PhaseFinished(phase.name, elapsed))
             if isinstance(outcome, Finish):
                 finish = outcome
                 break
-        ctx.exit_phase()
         if finish is None:
-            if ctx.stats.get("phases_truncated"):
-                finish = Finish(Status.TIMEOUT,
-                                reason="phase budgets exhausted before "
-                                       "a verdict")
-            else:
-                finish = Finish(Status.UNKNOWN,
-                                reason="pipeline ended without a verdict")
+            finish = Finish(Status.UNKNOWN,
+                            reason="pipeline ended without a verdict")
         return self._result(ctx, finish)
 
     @staticmethod

@@ -21,26 +21,29 @@ Mirrors the paper implementation's use of preprocessing before learning:
 from repro.formula import boolfunc as bf
 from repro.definability.gates import find_gate_definitions
 from repro.definability.padoa import is_uniquely_defined, extract_definition
-from repro.formula.cnf import CNF
 from repro.formula.tseitin import TseitinEncoder, negated_cnf_expr
-from repro.sat.solver import Solver, SAT, UNSAT
+from repro.sat.solver import Solver, UNSAT
 from repro.utils.rng import spawn
+
+#: Dependency-set size cap for Padoa's truth-table extraction, which
+#: costs ``2**|H|`` SAT calls.
+MAX_UNIQUE_TABLE_BITS = 8
 
 
 def run_preprocess(ctx):
     """Pipeline phase entry: preprocess against the synthesis context.
 
     Fixes what preprocessing can (``ctx.fixed``) and records the
-    per-mechanism counts under ``fixed_*`` stats keys.  Honors the
-    context's active (possibly phase-scoped) deadline and conflict
-    budget.  The kernel fills the accumulators *in place*, so a budget
-    that strikes mid-pass still leaves everything fixed so far on the
-    context — a truncated phase loses nothing it accumulated.
+    per-mechanism counts under ``fixed_*`` stats keys.  The kernel fills
+    the accumulators *in place*, so a deadline that strikes mid-pass
+    still leaves everything fixed so far on the context, where the
+    TIMEOUT result's anytime partial reads it.
     """
+    ctx.deadline.check()
     fixed = {}
     stats = {}
     try:
-        preprocess(ctx.instance, ctx.active_config,
+        preprocess(ctx.instance, ctx.config,
                    deadline=ctx.deadline, rng=spawn(ctx.rng, 2),
                    matrix_session=ctx.matrix_session,
                    fixed=fixed, stats=stats)
@@ -62,8 +65,8 @@ class PreprocessOutcome:
         self.stats = stats
 
 
-def detect_unates(instance, deadline=None, conflict_budget=None, rng=None,
-                  matrix_session=None, out=None):
+def detect_unates(instance, deadline=None, rng=None, matrix_session=None,
+                  out=None):
     """Find unate existentials; returns ``{y: TRUE|FALSE}``.
 
     ``yi`` is positive unate iff ``ϕ|_{yi=0} ∧ ¬ϕ|_{yi=1}`` is UNSAT —
@@ -78,8 +81,7 @@ def detect_unates(instance, deadline=None, conflict_budget=None, rng=None,
     working copy.
 
     ``out`` (a dict) is an optional in-place accumulator: unates found
-    before a SAT call exhausts its budget survive the unwind, which is
-    what lets a phase-budgeted pipeline keep a truncated pass's work.
+    before the deadline expires survive the unwind.
     """
     working = None if matrix_session is not None else instance.matrix.copy()
     fixed = {} if out is None else out
@@ -88,12 +90,11 @@ def detect_unates(instance, deadline=None, conflict_budget=None, rng=None,
             break
         for value, constant in ((True, bf.TRUE), (False, bf.FALSE)):
             if matrix_session is not None:
-                unate = matrix_session.unate_check(
-                    y, value, deadline=deadline,
-                    conflict_budget=conflict_budget)
+                unate = matrix_session.unate_check(y, value,
+                                                   deadline=deadline)
             else:
                 unate = _is_unate(working, y, value, deadline=deadline,
-                                  conflict_budget=conflict_budget, rng=rng)
+                                  rng=rng)
             if unate:
                 fixed[y] = constant
                 if matrix_session is not None:
@@ -104,8 +105,7 @@ def detect_unates(instance, deadline=None, conflict_budget=None, rng=None,
     return fixed
 
 
-def _is_unate(matrix, y, positive, deadline=None, conflict_budget=None,
-              rng=None):
+def _is_unate(matrix, y, positive, deadline=None, rng=None):
     """One unate check: is ``ϕ|_{y=¬v} ∧ ¬(ϕ|_{y=v})`` UNSAT?"""
     v_true = {y: not positive}
     cofactor_off = matrix.simplified(v_true)           # ϕ with y = ¬v
@@ -118,13 +118,12 @@ def _is_unate(matrix, y, positive, deadline=None, conflict_budget=None,
     encoder = TseitinEncoder(check)
     encoder.assert_expr(negated_cnf_expr(cofactor_on))
     solver = Solver(check, rng=rng)
-    status = solver.solve(deadline=deadline, conflict_budget=conflict_budget)
-    return status == UNSAT
+    return solver.solve(deadline=deadline) == UNSAT
 
 
-def extract_unique_functions(instance, skip=(), max_table_bits=8,
-                             deadline=None, conflict_budget=None, rng=None,
-                             out=None, stats=None):
+def extract_unique_functions(instance, skip=(),
+                             max_table_bits=MAX_UNIQUE_TABLE_BITS,
+                             deadline=None, rng=None, out=None, stats=None):
     """Definitions for uniquely defined existentials (gates, then Padoa).
 
     Gate definitions may reference other existential variables (Tseitin
@@ -148,8 +147,8 @@ def extract_unique_functions(instance, skip=(), max_table_bits=8,
     construction.
 
     ``out`` / ``stats`` are optional in-place accumulators (see
-    :func:`detect_unates`): definitions accepted before a budget
-    exhausts survive the unwind.
+    :func:`detect_unates`): definitions accepted before the deadline
+    expires survive the unwind.
     """
     fixed = {} if out is None else out
     stats = {"gates": 0, "padoa": 0} if stats is None else stats
@@ -215,15 +214,11 @@ def extract_unique_functions(instance, skip=(), max_table_bits=8,
             if deadline is not None and deadline.expired():
                 return fixed, stats
             unique = is_uniquely_defined(instance.matrix, y, deps,
-                                         deadline=deadline,
-                                         conflict_budget=conflict_budget,
-                                         rng=rng)
+                                         deadline=deadline, rng=rng)
             if unique:
                 expr = extract_definition(instance.matrix, y, deps,
                                           max_table_bits=max_table_bits,
-                                          deadline=deadline,
-                                          conflict_budget=conflict_budget,
-                                          rng=rng)
+                                          deadline=deadline, rng=rng)
                 if expr is not None:
                     fixed[y] = expr
                     grounded[y] = deps
@@ -242,13 +237,13 @@ def preprocess(instance, config, deadline=None, rng=None,
     ``matrix_session`` routes the unate checks through the engine's
     persistent ϕ-solver; its dual-rail apparatus is retired here, the
     moment the unate pass ends — even when that pass unwinds on an
-    exhausted budget — so the verify–repair loop never carries those
+    expired deadline — so the verify–repair loop never carries those
     clauses.
 
-    ``fixed`` / ``stats`` are optional in-place accumulators: when a
-    SAT call exhausts its budget mid-pass, everything fixed up to that
-    point is already merged into them before the exception propagates
-    (the staged pipeline's phase truncation relies on this).
+    ``fixed`` / ``stats`` are optional in-place accumulators: when the
+    deadline expires mid-pass, everything fixed up to that point is
+    already merged into them before the exception propagates (a
+    TIMEOUT result's anytime partial reads them).
     """
     fixed = {} if fixed is None else fixed
     stats = {} if stats is None else stats
@@ -257,10 +252,8 @@ def preprocess(instance, config, deadline=None, rng=None,
     if config.use_unate_detection:
         unates = {}
         try:
-            detect_unates(instance, deadline=deadline,
-                          conflict_budget=config.sat_conflict_budget,
-                          rng=rng, matrix_session=matrix_session,
-                          out=unates)
+            detect_unates(instance, deadline=deadline, rng=rng,
+                          matrix_session=matrix_session, out=unates)
         finally:
             fixed.update(unates)
             stats["unates"] = len(unates)
@@ -276,11 +269,8 @@ def preprocess(instance, config, deadline=None, rng=None,
         unique_stats = {}
         try:
             extract_unique_functions(
-                instance, skip=fixed,
-                max_table_bits=config.max_unique_table_bits,
-                deadline=deadline,
-                conflict_budget=config.sat_conflict_budget,
-                rng=rng, out=unique, stats=unique_stats)
+                instance, skip=fixed, deadline=deadline, rng=rng,
+                out=unique, stats=unique_stats)
         finally:
             fixed.update(unique)
             stats["gates"] = unique_stats.get("gates", 0)

@@ -39,13 +39,13 @@ from repro.utils.rng import spawn
 def run_repair(ctx, sigma_x):
     """Pipeline entry: process one counterexample against the context.
 
-    Spawns the per-iteration RNG stream (salt ``200 + iteration``,
-    matching the pre-pipeline engine) and threads the context's loop
-    state — retired candidates, repair counts, counterexample matrix —
-    into :func:`repair_iteration`.
+    Spawns the per-iteration RNG stream (salt ``200 + iteration``, part
+    of the trajectory contract; see :mod:`repro.core.context`) and
+    threads the context's loop state — retired candidates, repair
+    counts, counterexample matrix — into :func:`repair_iteration`.
     """
     return repair_iteration(ctx.instance, ctx.candidates, ctx.tracker,
-                            ctx.order, sigma_x, ctx.active_config,
+                            ctx.order, sigma_x, ctx.config,
                             fixed=ctx.non_repairable,
                             rng=spawn(ctx.rng, 200 + ctx.iteration),
                             deadline=ctx.deadline,
@@ -66,7 +66,7 @@ def evaluate_vector(candidates, order, x_assignment):
     return {y: env[y] for y in order}
 
 
-def find_repair_candidates(instance, sigma_x, outputs, repairable, config,
+def find_repair_candidates(instance, sigma_x, outputs, repairable,
                            rng=None, deadline=None):
     """``FindCandi``: MaxSAT-select the candidates to repair."""
     hard = instance.matrix.copy()
@@ -74,9 +74,7 @@ def find_repair_candidates(instance, sigma_x, outputs, repairable, config,
         hard.add_unit(x if sigma_x[x] else -x)
     repairable = list(repairable)
     softs = [[y if outputs[y] else -y] for y in repairable]
-    result = solve_maxsat(hard, softs, algorithm=config.maxsat_algorithm,
-                          rng=rng, deadline=deadline,
-                          conflict_budget=config.sat_conflict_budget)
+    result = solve_maxsat(hard, softs, rng=rng, deadline=deadline)
     if not result.satisfiable:
         return None  # ϕ ∧ (X ↔ σ[X]) UNSAT: cannot happen after line 13
     return [repairable[i] for i in result.falsified]
@@ -111,7 +109,7 @@ def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
 
     repairable = [y for y in instance.existentials if y not in fixed]
     ind = find_repair_candidates(instance, sigma_x, outputs, repairable,
-                                 config, rng=rng, deadline=deadline)
+                                 rng=rng, deadline=deadline)
     if ind is None:
         return 0
     queue = deque(ind)
@@ -139,8 +137,7 @@ def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
         assumptions.append(yk_lit)
 
         status = matrix_session.solve(
-            assumptions, purpose="repair", deadline=deadline,
-            conflict_budget=config.sat_conflict_budget)
+            assumptions, purpose="repair", deadline=deadline)
         if status == UNSAT:
             core = set(matrix_session.core)
             core.discard(yk_lit)

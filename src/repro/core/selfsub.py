@@ -18,7 +18,6 @@ therefore fires only for such "Skolem-positioned" variables — matching
 the original tools, which implement it for Skolem synthesis.
 """
 
-from repro.formula import boolfunc as bf
 from repro.formula.boolfunc import cnf_to_expr
 
 
@@ -29,7 +28,7 @@ def run_self_substitution(ctx):
     ``config.self_substitution_threshold`` is replaced by its
     self-substitution and moved into ``ctx.non_repairable``; each
     successful replacement may add dependency edges, so the total order
-    is recomputed immediately (as the pre-pipeline engine did).
+    is recomputed immediately.
     Returns the number of candidates retired.
     """
     from repro.core.order import find_order

@@ -167,7 +167,7 @@ class VerifierSession:
             self._groups[y] = group
             self._current[y] = expr
 
-    def solve(self, candidates, deadline=None, conflict_budget=None):
+    def solve(self, candidates, deadline=None):
         """One verification oracle call against the current candidates.
 
         Backend failure anywhere in the call — during the incremental
@@ -179,8 +179,7 @@ class VerifierSession:
             try:
                 self.sync(candidates)
                 self.calls += 1
-                return self.solver.solve(deadline=deadline,
-                                         conflict_budget=conflict_budget)
+                return self.solver.solve(deadline=deadline)
             except _ORACLE_FAILURES as exc:
                 self._failover(exc)
 
@@ -258,14 +257,12 @@ class MatrixSession:
             return
         raise exc
 
-    def _query(self, assumptions, purpose, deadline, conflict_budget):
+    def _query(self, assumptions, purpose, deadline):
         """One raw assumption query — no retry (callers own that)."""
         self.calls[purpose] = self.calls.get(purpose, 0) + 1
-        return self.solver.solve(assumptions=assumptions, deadline=deadline,
-                                 conflict_budget=conflict_budget)
+        return self.solver.solve(assumptions=assumptions, deadline=deadline)
 
-    def solve(self, assumptions, purpose="matrix", deadline=None,
-              conflict_budget=None):
+    def solve(self, assumptions, purpose="matrix", deadline=None):
         """Assumption query against ``ϕ``; ``purpose`` tags the stats.
 
         Retries through the fallback chain on backend failure — safe
@@ -276,8 +273,7 @@ class MatrixSession:
         """
         while True:
             try:
-                return self._query(assumptions, purpose, deadline,
-                                   conflict_budget)
+                return self._query(assumptions, purpose, deadline)
             except _ORACLE_FAILURES as exc:
                 self._failover(exc)
 
@@ -333,7 +329,7 @@ class MatrixSession:
         self._neg_out = encoder.encode(negated_cnf_expr(primed))
         self._dual_group = group
 
-    def unate_check(self, y, positive, deadline=None, conflict_budget=None):
+    def unate_check(self, y, positive, deadline=None):
         """Is ``ϕw|_{y=¬v} ∧ ¬(ϕw|_{y=v})`` UNSAT?  (``v = positive``.)
 
         ``ϕw`` is ``ϕ`` plus the units committed so far — the primed
@@ -358,8 +354,7 @@ class MatrixSession:
                     assumptions += [-y, self._prime[y]]
                 else:
                     assumptions += [y, -self._prime[y]]
-                status = self._query(assumptions, "unate", deadline,
-                                     conflict_budget)
+                status = self._query(assumptions, "unate", deadline)
             except _ORACLE_FAILURES as exc:
                 self._failover(exc)
                 continue

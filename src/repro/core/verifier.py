@@ -29,14 +29,13 @@ from repro.utils.rng import make_rng, spawn
 def run_verify(ctx):
     """Pipeline entry: one verification round against the context.
 
-    Spawns the per-iteration RNG stream (salt ``100 + iteration``,
-    matching the pre-pipeline engine) and routes through the context's
-    sessions, active deadline, and conflict budget.
+    Spawns the per-iteration RNG stream (salt ``100 + iteration``, part
+    of the trajectory contract; see :mod:`repro.core.context`) and
+    routes through the context's sessions and deadline.
     """
     return verify_candidates(ctx.instance, ctx.candidates,
                              rng=spawn(ctx.rng, 100 + ctx.iteration),
                              deadline=ctx.deadline,
-                             conflict_budget=ctx.conflict_budget,
                              session=ctx.verifier_session,
                              matrix_session=ctx.matrix_session)
 
@@ -72,28 +71,25 @@ def build_verification_cnf(instance, candidates):
 
 
 def verify_candidates(instance, candidates, rng=None, deadline=None,
-                      conflict_budget=None, session=None,
-                      matrix_session=None):
+                      session=None, matrix_session=None):
     """Run the two SAT checks of the verification phase.
 
     With ``session``/``matrix_session`` the oracles are incremental
     queries against persistent solvers; without them throwaway solvers
-    are built (the session-free reference).  Raises :class:`ResourceBudgetExceeded`
-    when an oracle call exhausts its budget (the engine maps this to
-    TIMEOUT).
+    are built (the session-free reference).  Raises
+    :class:`ResourceBudgetExceeded` when an oracle call returns no
+    answer (the engine maps this to TIMEOUT).
     """
     ext_rng = None
     if session is not None:
-        status = session.solve(candidates, deadline=deadline,
-                               conflict_budget=conflict_budget)
+        status = session.solve(candidates, deadline=deadline)
         delta = session.model
     else:
         rng = make_rng(rng)
         e_rng, ext_rng = spawn(rng, 1), spawn(rng, 2)
         e_cnf = build_verification_cnf(instance, candidates)
         solver = Solver(e_cnf, rng=e_rng)
-        status = solver.solve(deadline=deadline,
-                              conflict_budget=conflict_budget)
+        status = solver.solve(deadline=deadline)
         delta = solver.model
     if status == UNSAT:
         return VerificationOutcome("VALID")
@@ -106,16 +102,14 @@ def verify_candidates(instance, candidates, rng=None, deadline=None,
     assumptions = [x if sigma_x[x] else -x for x in instance.universals]
     if matrix_session is not None:
         ext_status = matrix_session.solve(
-            assumptions, purpose="extension", deadline=deadline,
-            conflict_budget=conflict_budget)
+            assumptions, purpose="extension", deadline=deadline)
         pi = matrix_session.model
     else:
         if ext_rng is None:  # session E-check, no matrix session
             ext_rng = spawn(make_rng(rng), 2)
         ext_solver = Solver(instance.matrix, rng=ext_rng)
         ext_status = ext_solver.solve(assumptions=assumptions,
-                                      deadline=deadline,
-                                      conflict_budget=conflict_budget)
+                                      deadline=deadline)
         pi = ext_solver.model
     if ext_status == UNSAT:
         return VerificationOutcome("FALSE", sigma_x=sigma_x)

@@ -14,7 +14,6 @@ callers bound it via ``max_table_bits``.
 """
 
 from repro.formula import boolfunc as bf
-from repro.formula.cnf import CNF
 from repro.sat.solver import Solver, SAT, UNSAT
 from repro.utils.errors import ResourceBudgetExceeded
 
@@ -36,15 +35,15 @@ def _two_copy_formula(cnf, shared, y):
     return out
 
 
-def is_uniquely_defined(cnf, y, dependency_vars, deadline=None,
-                        conflict_budget=None, rng=None):
+def is_uniquely_defined(cnf, y, dependency_vars, deadline=None, rng=None):
     """Padoa check: is ``y`` uniquely defined by ``dependency_vars``?
 
-    Returns ``True``/``False``, or ``None`` if the budget ran out.
+    Returns ``True``/``False``, or ``None`` if the SAT call returned no
+    answer.
     """
     formula = _two_copy_formula(cnf, sorted(dependency_vars), y)
     solver = Solver(formula, rng=rng)
-    status = solver.solve(deadline=deadline, conflict_budget=conflict_budget)
+    status = solver.solve(deadline=deadline)
     if status == UNSAT:
         return True
     if status == SAT:
@@ -53,7 +52,7 @@ def is_uniquely_defined(cnf, y, dependency_vars, deadline=None,
 
 
 def extract_definition(cnf, y, dependency_vars, max_table_bits=12,
-                       deadline=None, conflict_budget=None, rng=None):
+                       deadline=None, rng=None):
     """Truth-table definition of ``y`` over ``dependency_vars``.
 
     Assumes unique definability (call :func:`is_uniquely_defined` first).
@@ -76,8 +75,7 @@ def extract_definition(cnf, y, dependency_vars, max_table_bits=12,
             bit = (row >> i) & 1
             assumptions.append(v if bit else -v)
         status = solver.solve(assumptions=assumptions + [y],
-                              deadline=deadline,
-                              conflict_budget=conflict_budget)
+                              deadline=deadline)
         if status == SAT:
             minterms.append(bf.and_(*[bf.lit(l) for l in assumptions]))
         elif status != UNSAT:
@@ -86,26 +84,23 @@ def extract_definition(cnf, y, dependency_vars, max_table_bits=12,
 
 
 def extract_all_definitions(cnf, targets, max_table_bits=12, deadline=None,
-                            conflict_budget=None, rng=None):
+                            rng=None):
     """Find and extract definitions for every target that has one.
 
     ``targets`` is ``{y: dependency_vars}``.  Returns ``{y: BoolExpr}``
     for the variables that are uniquely defined *and* small enough to
-    tabulate.  Budget exhaustion on one target skips it rather than
-    aborting the rest.
+    tabulate.  A SAT call that returns no answer on one target skips it
+    rather than aborting the rest.
     """
     found = {}
     for y, deps in targets.items():
         try:
             unique = is_uniquely_defined(cnf, y, deps, deadline=deadline,
-                                         conflict_budget=conflict_budget,
                                          rng=rng)
             if unique:
                 expr = extract_definition(cnf, y, deps,
                                           max_table_bits=max_table_bits,
-                                          deadline=deadline,
-                                          conflict_budget=conflict_budget,
-                                          rng=rng)
+                                          deadline=deadline, rng=rng)
                 if expr is not None:
                     found[y] = expr
         except ResourceBudgetExceeded:

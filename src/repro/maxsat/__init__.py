@@ -9,9 +9,11 @@ candidates.
 Two complete algorithms are provided:
 
 * :func:`~repro.maxsat.fumalik.fu_malik` — core-guided (Fu–Malik/WPM1),
-  repeatedly relaxes UNSAT cores with fresh blocking variables;
+  repeatedly relaxes UNSAT cores with fresh blocking variables; the
+  engines use it;
 * :func:`~repro.maxsat.linear.linear_search` — model-improving LSU search
-  with a sequential-counter cardinality encoding.
+  with a sequential-counter cardinality encoding; the cost oracle the
+  tests check Fu–Malik against.
 
 :func:`solve_maxsat` is the facade used by the engines.
 """
@@ -24,8 +26,7 @@ from repro.maxsat.cardinality import encode_at_most_k, encode_at_least_k
 from repro.utils.errors import ReproError
 
 
-def solve_maxsat(hard, softs, algorithm="fu-malik", rng=None, deadline=None,
-                 conflict_budget=None):
+def solve_maxsat(hard, softs, algorithm="fu-malik", rng=None, deadline=None):
     """Maximize satisfied soft clauses subject to the hard CNF.
 
     Parameters
@@ -42,11 +43,9 @@ def solve_maxsat(hard, softs, algorithm="fu-malik", rng=None, deadline=None,
     the hards alone are UNSAT).
     """
     if algorithm == "fu-malik":
-        return fu_malik(hard, softs, rng=rng, deadline=deadline,
-                        conflict_budget=conflict_budget)
+        return fu_malik(hard, softs, rng=rng, deadline=deadline)
     if algorithm == "linear":
-        return linear_search(hard, softs, rng=rng, deadline=deadline,
-                             conflict_budget=conflict_budget)
+        return linear_search(hard, softs, rng=rng, deadline=deadline)
     raise ReproError("unknown MaxSAT algorithm %r" % algorithm)
 
 

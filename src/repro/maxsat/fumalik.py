@@ -18,7 +18,7 @@ from repro.sat.solver import Solver, SAT, UNSAT
 from repro.utils.errors import ResourceBudgetExceeded
 
 
-def fu_malik(hard, softs, rng=None, deadline=None, conflict_budget=None):
+def fu_malik(hard, softs, rng=None, deadline=None):
     """Run Fu–Malik on ``hard`` (CNF) and ``softs`` (list of clauses)."""
     softs = [SoftClause(lits, i) for i, lits in enumerate(softs)]
     work = hard.copy()
@@ -47,9 +47,7 @@ def fu_malik(hard, softs, rng=None, deadline=None, conflict_budget=None):
         if deadline is not None:
             deadline.check()
         assumptions = [assumption_of[s.index] for s in softs]
-        status = solver.solve(assumptions=assumptions,
-                              conflict_budget=conflict_budget,
-                              deadline=deadline)
+        status = solver.solve(assumptions=assumptions, deadline=deadline)
         if status == SAT:
             model = {v: solver.model[v] for v in range(1, problem_vars + 1)}
             falsified = [s.index for s in softs if not s.satisfied_by(solver.model)]

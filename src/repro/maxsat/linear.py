@@ -13,7 +13,7 @@ from repro.sat.solver import Solver, SAT, UNSAT
 from repro.utils.errors import ResourceBudgetExceeded
 
 
-def linear_search(hard, softs, rng=None, deadline=None, conflict_budget=None):
+def linear_search(hard, softs, rng=None, deadline=None):
     """Run LSU on ``hard`` (CNF) and ``softs`` (list of clauses)."""
     softs = [SoftClause(lits, i) for i, lits in enumerate(softs)]
     work = hard.copy()
@@ -35,8 +35,7 @@ def linear_search(hard, softs, rng=None, deadline=None, conflict_budget=None):
         if deadline is not None:
             deadline.check()
         solver = Solver(work, rng=rng)
-        status = solver.solve(conflict_budget=conflict_budget,
-                              deadline=deadline)
+        status = solver.solve(deadline=deadline)
         if status == UNSAT:
             break
         if status != SAT:

@@ -149,8 +149,7 @@ class Sampler:
                 self._weights[v] = min(self.bias_ceiling,
                                        max(self.bias_floor, p))
 
-    def draw(self, count, deadline=None, conflict_budget=None,
-             packed=False):
+    def draw(self, count, deadline=None, packed=False):
         """Return up to ``count`` models (fewer only if ϕ is UNSAT).
 
         Each model is a ``{var: bool}`` dict over the CNF's variables;
@@ -158,9 +157,10 @@ class Sampler:
         column-major :class:`~repro.formula.bitvec.SampleMatrix` (no
         per-sample dicts are retained) — the solver stream, weight
         adaptation, and drawn models are identical either way.  Raises
-        :class:`ResourceBudgetExceeded` if a SAT call exhausts its
-        budget.  Backend failure mid-draw triggers a failover through
-        the fallback chain and a retry of the interrupted draw.
+        :class:`ResourceBudgetExceeded` if a SAT call returns no answer
+        (as when the deadline expires).  Backend failure mid-draw
+        triggers a failover through the fallback chain and a retry of
+        the interrupted draw.
         """
         samples = SampleMatrix() if packed else []
         for i in range(count):
@@ -170,8 +170,7 @@ class Sampler:
             while True:
                 self.calls += 1
                 try:
-                    status = solver.solve(conflict_budget=conflict_budget,
-                                          deadline=deadline)
+                    status = solver.solve(deadline=deadline)
                 except _ORACLE_FAILURES as exc:
                     self._failover(exc)
                     # Retry on the replacement at the *same* RNG stream
@@ -205,9 +204,8 @@ class Sampler:
 
 
 def sample_models(cnf, count, rng=None, weighted_vars=(), deadline=None,
-                  conflict_budget=None, backend="python"):
+                  backend="python"):
     """One-shot convenience wrapper around :class:`Sampler`."""
     sampler = Sampler(cnf, rng=rng, weighted_vars=weighted_vars,
                       backend=backend)
-    return sampler.draw(count, deadline=deadline,
-                        conflict_budget=conflict_budget)
+    return sampler.draw(count, deadline=deadline)

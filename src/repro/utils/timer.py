@@ -67,20 +67,6 @@ class Deadline:
             return None
         return max(0.0, self._expiry - time.perf_counter())
 
-    def sub(self, seconds):
-        """A child deadline: ``seconds`` from now, capped by this one.
-
-        The staged pipeline carves per-phase sub-budgets out of the
-        run's global deadline with this; the child can only be *tighter*
-        than its parent, so honoring the child always honors the parent.
-        """
-        child = Deadline(seconds)
-        if self._expiry is not None and (child._expiry is None
-                                         or self._expiry < child._expiry):
-            child._expiry = self._expiry
-            child.seconds = self.seconds
-        return child
-
     def check(self):
         """Raise :class:`ResourceBudgetExceeded` if the deadline passed."""
         if self.expired():

@@ -77,8 +77,7 @@ FROZEN_SIGNATURES = {
 #: as the listener API.
 FROZEN_EVENT_FIELDS = {
     "PhaseStarted": ["engine", "instance", "phase"],
-    "PhaseFinished": ["elapsed", "engine", "instance", "phase",
-                      "truncated"],
+    "PhaseFinished": ["elapsed", "engine", "instance", "phase"],
     "CounterexampleFound": ["engine", "instance", "iteration",
                             "sigma_x"],
     "RepairRound": ["engine", "instance", "iteration", "modified",

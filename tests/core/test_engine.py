@@ -85,8 +85,7 @@ class TestConfig:
                           {"use_yhat_constraint": False},
                           {"adaptive_sampling": False},
                           {"use_unate_detection": False,
-                           "use_unique_extraction": False},
-                          {"maxsat_algorithm": "linear"}):
+                           "use_unique_extraction": False}):
             config = Manthan3Config(seed=1, **overrides)
             result = Manthan3(config).run(paper_example_instance,
                                           timeout=60)
@@ -94,14 +93,6 @@ class TestConfig:
             if result.synthesized:
                 assert check_henkin_vector(paper_example_instance,
                                            result.functions).valid
-
-    def test_replaced(self):
-        config = Manthan3Config(num_samples=10)
-        other = config.replaced(num_samples=99)
-        assert config.num_samples == 10
-        assert other.num_samples == 99
-        with pytest.raises(AttributeError):
-            config.replaced(nonexistent=1)
 
     def test_removed_engine_forks_fail_loudly(self):
         """The fresh-oracle and row-wise paths are gone; selecting them

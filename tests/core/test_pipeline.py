@@ -1,5 +1,5 @@
 """Tests for the staged pipeline: the pinned trajectory, the
-verify–repair stop conditions, per-phase budgets, anytime partial
+verify–repair stop conditions, the run deadline, anytime partial
 results, and the declarative engine specs.
 
 The trajectory pin is the pipeline's acceptance contract: the staged
@@ -34,7 +34,7 @@ from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
 from repro.portfolio import make_engine, run_campaign
 from repro.portfolio.parallel import derive_job_seed
-from repro.utils.errors import ReproError
+from repro.utils.errors import ReproError, ResourceBudgetExceeded
 from repro.utils.timer import Deadline
 from trajectory import (
     ENGINE_SHA256,
@@ -49,6 +49,34 @@ from trajectory import (
 
 def make(universals, deps, clauses):
     return DQBFInstance(universals, deps, CNF(clauses))
+
+
+class FlipDeadline:
+    """A run deadline that expires when the test says so."""
+
+    def __init__(self):
+        self.tripped = False
+
+    def expired(self):
+        return self.tripped
+
+    def check(self):
+        if self.tripped:
+            raise ResourceBudgetExceeded("stub deadline")
+
+
+def run_tripping_at(inst, config, phase):
+    """Run the default pipeline on a deadline that expires as ``phase``
+    starts; returns ``(result, ctx)``."""
+    deadline = FlipDeadline()
+
+    def trip(event):
+        if event.kind == "phase_started" and event.phase == phase:
+            deadline.tripped = True
+
+    ctx = SynthesisContext(inst, config, deadline=deadline,
+                           listeners=[trip])
+    return Pipeline().execute(ctx), ctx
 
 
 class TestTrajectoryEquivalence:
@@ -144,17 +172,15 @@ class TestAnytimePartials:
             region_width=3, rules_per_y=5, seed=11)
 
     def test_timeout_mid_loop_keeps_stats(self):
-        """Satellite regression: the PR 3 handler dropped everything but
-        wall_time; a budget-bounded run must still report samples and
-        oracle counters (plus the phase timings and partials)."""
-        config = Manthan3Config(seed=9,
-                                phase_budgets={"verify_repair": 0.0})
-        result = Manthan3(config).run(self._instance(), timeout=60)
+        """A run whose deadline expires in the verify–repair loop still
+        reports samples and oracle counters (plus the phase timings and
+        partials), not just wall_time."""
+        result, _ = run_tripping_at(self._instance(),
+                                    Manthan3Config(seed=9), "verify_repair")
         assert result.status == Status.TIMEOUT
         assert result.stats["samples"] > 0
         assert "oracle" in result.stats
         assert "phases" in result.stats
-        assert result.stats["phases_truncated"] == ["verify_repair"]
         assert result.partial_functions is not None
         assert set(result.partial_functions) == \
             set(self._instance().existentials)
@@ -197,9 +223,8 @@ class TestAnytimePartials:
         # y2 is positive unate ((x1 ∨ y2)); y3 must be learned.
         inst = make([1], {2: [1], 3: [1]},
                     [[1, 2], [-3, 1], [3, -1]])
-        config = Manthan3Config(seed=5,
-                                phase_budgets={"verify_repair": 0.0})
-        result = Manthan3(config).run(inst, timeout=60)
+        result, _ = run_tripping_at(inst, Manthan3Config(seed=5),
+                                    "verify_repair")
         assert result.status == Status.TIMEOUT
         assert result.partial_functions is not None
         assert result.partial_verified >= 1
@@ -207,31 +232,38 @@ class TestAnytimePartials:
 
 
 class TestPhaseBudgets:
-    def test_learn_and_order_budgets_truncate_cleanly(self):
-        """A truncated learn/order phase must end the run as TIMEOUT —
-        not crash the downstream phases on unset context fields."""
-        inst = generate_planted_instance(
-            num_universals=14, num_existentials=3, dep_width=12,
-            region_width=3, rules_per_y=4, seed=24)
-        for phase in ("learn", "order"):
-            config = Manthan3Config(seed=9, phase_budgets={phase: 0.0})
-            result = Manthan3(config).run(inst, timeout=60)
-            assert result.status == Status.TIMEOUT, phase
-            assert phase in result.stats["phases_truncated"]
+    """The run's one deadline, as each phase meets it."""
+
+    @pytest.mark.parametrize("phase", ["sample", "preprocess", "learn",
+                                       "order", "verify_repair"])
+    def test_deadline_expiring_as_phase_starts(self, phase):
+        """Whichever phase the deadline expires in, the run ends TIMEOUT
+        right there, and whatever the phases before it built comes back
+        as a partial.  Preprocessing fixes three of this instance's four
+        outputs, so the partial grows from nothing (sample, preprocess)
+        to the fixed outputs (learn) to the whole vector."""
+        result, ctx = run_tripping_at(_small("pec_n5_o2_b1_d2_sat_s22"),
+                                      Manthan3Config(seed=9), phase)
+        assert result.status == Status.TIMEOUT
+        names = list(DEFAULT_PHASE_NAMES)
+        assert list(result.stats["phases"]) == \
+            names[:names.index(phase) + 1]
+        if ctx.candidates or ctx.fixed:
+            assert result.partial_functions
+        else:
+            assert result.partial_functions is None
 
     def test_preprocess_truncation_keeps_partial_fixed(self):
         """A budget striking mid-unate-pass must not discard the
         outputs already fixed, and the dual rail must still retire."""
         from repro.core.preprocess import run_preprocess
-        from repro.utils.errors import ResourceBudgetExceeded
 
         class OneUnateThenBudget:
             def __init__(self):
                 self.calls = 0
                 self.retired = False
 
-            def unate_check(self, y, value, deadline=None,
-                            conflict_budget=None):
+            def unate_check(self, y, value, deadline=None):
                 self.calls += 1
                 if self.calls == 1:
                     return True
@@ -259,18 +291,6 @@ class TestPhaseBudgets:
         got, not the initial 0."""
         import repro.core.pipeline as pl
         from repro.core.candidates import DependencyTracker
-        from repro.utils.errors import ResourceBudgetExceeded
-
-        class FlipDeadline:
-            def __init__(self):
-                self.tripped = False
-
-            def expired(self):
-                return self.tripped
-
-            def check(self):
-                if self.tripped:
-                    raise ResourceBudgetExceeded("stub deadline")
 
         inst = make([1, 2], {3: [1, 2]},
                     [[-3, 1, 2], [3, -1], [3, -2]])        # y ↔ (x1 ∨ x2)
@@ -294,40 +314,6 @@ class TestPhaseBudgets:
         assert result.status == Status.TIMEOUT
         assert result.stats["repair_iterations"] == 1
         assert result.partial_functions is not None
-
-    def test_sample_budget_truncates(self):
-        inst = generate_planted_instance(
-            num_universals=14, num_existentials=3, dep_width=12,
-            region_width=3, rules_per_y=4, seed=21)
-        config = Manthan3Config(seed=9, phase_budgets={"sample": 0.0})
-        result = Manthan3(config).run(inst, timeout=60)
-        assert result.status == Status.TIMEOUT
-        assert "sample" in result.stats["phases_truncated"]
-
-    def test_unknown_budget_key_rejected(self):
-        config = Manthan3Config(phase_budgets={"no_such_phase": 1.0})
-        with pytest.raises(ReproError):
-            Manthan3(config)
-        # ... and a budget for a phase the *ablated* pipeline drops.
-        config = Manthan3Config(phase_budgets={"preprocess": 1.0})
-        with pytest.raises(ReproError):
-            Manthan3(config, phases=("unit_fastpath", "sample", "learn",
-                                     "order", "verify_repair"))
-
-    def test_phase_conflict_budget_applies(self):
-        """A per-phase conflict budget overrides the global cap inside
-        that phase only."""
-        inst = generate_planted_instance(
-            num_universals=14, num_existentials=3, dep_width=12,
-            region_width=3, rules_per_y=4, seed=22)
-        config = Manthan3Config(
-            seed=9, phase_conflict_budgets={"verify_repair": 0})
-        result = Manthan3(config).run(inst, timeout=60)
-        # Zero conflicts may or may not suffice to decide the oracle
-        # calls; either the run still finishes, or the phase truncates.
-        assert result.status in (Status.SYNTHESIZED, Status.FALSE,
-                                 Status.UNKNOWN, Status.TIMEOUT)
-        assert "phases" in result.stats
 
     def test_phase_timings_cover_phase_list(self):
         inst = generate_planted_instance(

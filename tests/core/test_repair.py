@@ -43,14 +43,12 @@ class TestFindRepairCandidates:
     def test_selects_falsified_soft(self):
         # ϕ = (y ↔ x); X = {x=1}; candidate output y=0 → must repair y.
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
-        ind = find_repair_candidates(inst, {1: True}, {2: False}, [2],
-                                     Manthan3Config())
+        ind = find_repair_candidates(inst, {1: True}, {2: False}, [2])
         assert ind == [2]
 
     def test_correct_candidate_not_selected(self):
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
-        ind = find_repair_candidates(inst, {1: True}, {2: True}, [2],
-                                     Manthan3Config())
+        ind = find_repair_candidates(inst, {1: True}, {2: True}, [2])
         assert ind == []
 
     def test_minimality(self):
@@ -59,8 +57,7 @@ class TestFindRepairCandidates:
         inst = make([1], {2: [1], 3: [1]},
                     [[-2, 1], [2, -1], [-3, 1], [3, -1]])
         ind = find_repair_candidates(inst, {1: True},
-                                     {2: True, 3: False}, [2, 3],
-                                     Manthan3Config())
+                                     {2: True, 3: False}, [2, 3])
         assert ind == [3]
 
 

@@ -12,11 +12,12 @@ them, so the digest does not depend on the clock, and with the
 structural ``BoolExpr`` hash it does not depend on the process either
 (memory layout, ``PYTHONHASHSEED``, earlier solves).
 
-A change that is meant to alter the trajectory re-baselines the constants
-deliberately (print the digests with ``PYTHONPATH=src python
-tests/trajectory.py engine false small_suite`` and update them, saying
-why in the change's description); any other change must leave them
-alone.
+``PYTHONPATH=src python tests/trajectory.py engine false small_suite``
+prints each digest and exits 1 if any differs from its pinned constant
+(naming both on standard error).  A change that is meant to alter the
+trajectory re-baselines the constants deliberately (update them from
+that output, saying why in the change's description); any other change
+must leave them alone.
 """
 
 import hashlib
@@ -110,9 +111,19 @@ def small_suite_cases():
     return [(inst, 5) for inst in build_suite("small", seed=0)]
 
 
+PINNED = {"engine": ENGINE_SHA256, "false": FALSE_SHA256,
+          "small_suite": SMALL_SUITE_SHA256}
+
+
 if __name__ == "__main__":
     import sys
 
+    mismatched = False
     for label in sys.argv[1:]:
-        cases = globals()[label + "_cases"]()
-        print(label, fold(run_cases(cases)))
+        digest = fold(run_cases(globals()[label + "_cases"]()))
+        print(label, digest)
+        if digest != PINNED[label]:
+            mismatched = True
+            print("%s digest %s differs from the pinned %s"
+                  % (label, digest, PINNED[label]), file=sys.stderr)
+    sys.exit(1 if mismatched else 0)
