@@ -9,11 +9,8 @@ from benchmarks.conftest import bench_timeout, write_result
 from repro.portfolio import scatter_pairs, solved_counts
 
 
-def test_fig10_scatter_baselines(campaign, benchmark):
-    def regenerate():
-        return scatter_pairs(campaign, "expansion", "pedant")
-
-    pairs = benchmark(regenerate)
+def test_fig10_scatter_baselines(campaign):
+    pairs = scatter_pairs(campaign, "expansion", "pedant")
     timeout = bench_timeout()
     counts = solved_counts(campaign, ["expansion", "pedant"])
 

@@ -9,11 +9,8 @@ from benchmarks.conftest import bench_timeout, write_result
 from repro.portfolio import scatter_pairs
 
 
-def test_fig8_scatter_pedant(campaign, benchmark):
-    def regenerate():
-        return scatter_pairs(campaign, "pedant", "manthan3")
-
-    pairs = benchmark(regenerate)
+def test_fig8_scatter_pedant(campaign):
+    pairs = scatter_pairs(campaign, "pedant", "manthan3")
     timeout = bench_timeout()
 
     m3_only = [n for n, tp, tm in pairs if tm < timeout <= tp]

@@ -8,11 +8,8 @@ from benchmarks.conftest import bench_timeout, write_result
 from repro.portfolio import scatter_pairs
 
 
-def test_fig9_scatter_hqs(campaign, benchmark):
-    def regenerate():
-        return scatter_pairs(campaign, "expansion", "manthan3")
-
-    pairs = benchmark(regenerate)
+def test_fig9_scatter_hqs(campaign):
+    pairs = scatter_pairs(campaign, "expansion", "manthan3")
     timeout = bench_timeout()
 
     m3_only = [n for n, th, tm in pairs if tm < timeout <= th]

@@ -16,7 +16,7 @@ for any worker count.
 Knobs (environment variables):
 
 * ``REPRO_BENCH_SUITE``   — suite size (smoke/small/medium; default small)
-* ``REPRO_BENCH_TIMEOUT`` — per-run timeout in seconds (default 5)
+* ``REPRO_BENCH_TIMEOUT`` — per-run timeout in seconds (default 10)
 * ``REPRO_BENCH_SEED``    — suite seed (default 0)
 * ``REPRO_BENCH_JOBS``    — worker processes (default: up to 8 cores)
 * ``REPRO_BENCH_RESUME``  — set to 1 to resume from the campaign store

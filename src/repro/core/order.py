@@ -34,11 +34,6 @@ def find_order(instance, tracker):
     return order
 
 
-def order_index(order):
-    """``{y: position}`` lookup for repair's Ŷ computation."""
-    return {y: i for i, y in enumerate(order)}
-
-
 def ground_vector(instance, functions):
     """Substitute away inter-existential references in a function vector.
 

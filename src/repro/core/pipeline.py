@@ -18,7 +18,11 @@ over a shared :class:`~repro.core.context.SynthesisContext`, and a
 * **structural ablation** — an engine variant is a phase list plus
   config overrides (see ``ENGINE_SPECS`` in
   :mod:`repro.portfolio.parallel`), not a code fork: e.g.
-  ``manthan3-nopre`` is the default list minus ``"preprocess"``.
+  ``manthan3-nopre`` is the default list minus ``"preprocess"``.  A
+  list that drops a phase a later one reads from (``learn`` needs
+  ``sample``, ``order`` needs ``learn``, ``verify_repair`` needs
+  ``order``) is refused when the pipeline is built; only the first
+  phase may start from a context the caller prepared.
 
 The default phase list's trajectory — statuses *and* functions — is
 pinned by a SHA-256 digest (``tests/trajectory.py``) that is identical
@@ -222,6 +226,13 @@ def verify_repair(ctx):
 DEFAULT_PHASE_NAMES = ("unit_fastpath", "sample", "preprocess", "learn",
                        "order", "verify_repair")
 
+#: phase -> the phase that must run earlier in the same list: learning
+#: reads the samples, ordering the learnt candidates, and verify–repair
+#: the order.  A list's first phase is exempt: it reads the context
+#: handed to :meth:`Pipeline.execute`, which the caller may have filled.
+_PREREQUISITES = {"learn": "sample", "order": "learn",
+                 "verify_repair": "order"}
+
 
 class Pipeline:
     """Execute a phase list over a shared synthesis context."""
@@ -238,6 +249,14 @@ class Pipeline:
                 raise ReproError(
                     "unknown pipeline phase %r (choose from %s)"
                     % (entry, ", ".join(sorted(PHASES))))
+        earlier = set()
+        for position, phase in enumerate(self.phases):
+            needed = _PREREQUISITES.get(phase.name)
+            if position and needed is not None and needed not in earlier:
+                raise ReproError(
+                    "pipeline phase %r needs phase %r earlier in the list"
+                    % (phase.name, needed))
+            earlier.add(phase.name)
 
     def execute(self, ctx):
         """Run the phases; always returns a :class:`SynthesisResult`.

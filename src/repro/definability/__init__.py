@@ -22,7 +22,6 @@ from repro.definability.gates import GateDefinition, find_gate_definitions
 from repro.definability.padoa import (
     is_uniquely_defined,
     extract_definition,
-    extract_all_definitions,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "find_gate_definitions",
     "is_uniquely_defined",
     "extract_definition",
-    "extract_all_definitions",
 ]

@@ -82,27 +82,3 @@ def extract_definition(cnf, y, dependency_vars, max_table_bits=12,
             raise ResourceBudgetExceeded("definition extraction budget")
     return bf.or_(*minterms)
 
-
-def extract_all_definitions(cnf, targets, max_table_bits=12, deadline=None,
-                            rng=None):
-    """Find and extract definitions for every target that has one.
-
-    ``targets`` is ``{y: dependency_vars}``.  Returns ``{y: BoolExpr}``
-    for the variables that are uniquely defined *and* small enough to
-    tabulate.  A SAT call that returns no answer on one target skips it
-    rather than aborting the rest.
-    """
-    found = {}
-    for y, deps in targets.items():
-        try:
-            unique = is_uniquely_defined(cnf, y, deps, deadline=deadline,
-                                         rng=rng)
-            if unique:
-                expr = extract_definition(cnf, y, deps,
-                                          max_table_bits=max_table_bits,
-                                          deadline=deadline, rng=rng)
-                if expr is not None:
-                    found[y] = expr
-        except ResourceBudgetExceeded:
-            continue
-    return found

@@ -15,7 +15,6 @@ from repro.dqbf.certificates import (
     CertificateResult,
     check_false_witness,
     check_henkin_vector,
-    counterexample_to_vector,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "CertificateResult",
     "check_false_witness",
     "check_henkin_vector",
-    "counterexample_to_vector",
 ]

@@ -166,16 +166,3 @@ def check_false_witness(instance, x_assignment, deadline=None,
         return CertificateResult(False,
                                  "the witness has a Y extension")
     return CertificateResult(False, "witness check budget exhausted")
-
-
-def counterexample_to_vector(instance, functions, model):
-    """Expand a SAT model of the verification formula into the paper's
-    counterexample triple ``σ = π[X] + π[Y] + δ[Y′]`` *inputs*.
-
-    Returns ``(x_assignment, y_prime_values)`` where ``y_prime_values`` is
-    what the candidate vector currently outputs on ``x_assignment`` —
-    exactly the `δ` the repair loop consumes.
-    """
-    x_assignment = {x: model[x] for x in instance.universals}
-    y_prime = {y: functions[y].evaluate(model) for y in instance.existentials}
-    return x_assignment, y_prime

@@ -1,6 +1,5 @@
 """The DQBF instance data model."""
 
-from repro.formula.cnf import CNF, lit_var
 from repro.utils.errors import ReproError
 
 
@@ -69,10 +68,6 @@ class DQBFInstance:
     def num_existentials(self):
         return len(self.dependencies)
 
-    def henkin_set(self, y):
-        """The dependency set ``H_y`` as a frozenset."""
-        return self.dependencies[y]
-
     def is_skolem(self):
         """True when every ``H_i = X`` (plain 2-QBF / Skolem synthesis)."""
         x_set = frozenset(self.universals)
@@ -90,9 +85,6 @@ class DQBFInstance:
             for yj in ys:
                 if yi != yj and self.dependencies[yj] < hi:
                     yield yi, yj
-
-    def clause_count(self):
-        return len(self.matrix)
 
     def copy(self):
         return DQBFInstance(self.universals, dict(self.dependencies),

@@ -34,13 +34,11 @@ from repro.formula.bitvec import (
     refresh_vector_bits,
 )
 from repro.formula.minimize import table_to_expr
-from repro.formula.simplify import simplify_cnf
 from repro.formula.aig import AIG, functions_to_aig, write_henkin_aiger
 from repro.formula.verilog import write_henkin_verilog
 
 __all__ = [
     "table_to_expr",
-    "simplify_cnf",
     "AIG",
     "functions_to_aig",
     "write_henkin_aiger",

@@ -67,10 +67,6 @@ class BDDManager:
         level = self.declare(variable)
         return self._mk(level, TRUE_NODE, FALSE_NODE)
 
-    def variable_of(self, node):
-        """External variable id labelling ``node`` (not a terminal)."""
-        return self._var_at[self._nodes[node][0]]
-
     # ------------------------------------------------------------------
     # core construction
     # ------------------------------------------------------------------
@@ -137,9 +133,6 @@ class BDDManager:
 
     def iff(self, f, g):
         return self.ite(f, g, self.not_(g))
-
-    def implies(self, f, g):
-        return self.ite(f, g, TRUE_NODE)
 
     def restrict(self, f, variable, value):
         """Cofactor: substitute a constant for ``variable``."""

@@ -409,9 +409,3 @@ def clause_expr(literals):
 def cnf_to_expr(cnf):
     """Lift a :class:`~repro.formula.cnf.CNF` into an expression DAG."""
     return and_(*[clause_expr(c) for c in cnf.clauses])
-
-
-def from_assignment(assignment, variables=None):
-    """Minterm expression for an assignment ``{var: bool}``."""
-    variables = sorted(variables if variables is not None else assignment)
-    return and_(*[var(v) if assignment[v] else not_(var(v)) for v in variables])

@@ -29,12 +29,6 @@ def neg(literal):
     return -literal
 
 
-def clause_is_tautology(literals):
-    """True if the clause contains a complementary pair of literals."""
-    seen = set(literals)
-    return any(-l in seen for l in literals)
-
-
 class CNF:
     """A mutable CNF formula.
 
@@ -69,10 +63,6 @@ class CNF:
                 self.num_vars = v
         self.clauses.append(clause)
         return clause
-
-    def add_clauses(self, clause_iter):
-        for clause in clause_iter:
-            self.add_clause(clause)
 
     def add_unit(self, literal):
         """Append a unit clause forcing ``literal``."""
@@ -109,9 +99,6 @@ class CNF:
             for l in clause:
                 out.add(lit_var(l))
         return out
-
-    def literal_count(self):
-        return sum(len(c) for c in self.clauses)
 
     def evaluate(self, assignment):
         """Evaluate under a *total* assignment ``{var: bool}``.

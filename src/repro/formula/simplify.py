@@ -1,40 +1,11 @@
-"""CNF preprocessing: unit propagation, pure literals, subsumption.
+"""Unit propagation on a clause list.
 
-A light-weight preprocessor in the HQSpre spirit (the paper runs HQS2
-behind HQSpre).  All passes are *matrix-level* and quantifier-aware via
-the ``frozen`` set: variables whose polarity must not be decided by
-preprocessing (universals, and existentials when the caller wants to
-preserve synthesis semantics) are never eliminated as pure literals.
-
-The main entry point :func:`simplify_cnf` iterates the passes to a
-fixpoint and returns a :class:`SimplificationResult` with the reduced
-CNF, the implied units, and pass statistics.
+The ``unit_fastpath`` phase runs :func:`propagate_units` over the matrix
+alone: a conflict, or a unit forced on a universal variable, proves the
+instance False before any sampling.
 """
 
-from repro.formula.cnf import CNF, lit_var, lit_sign
-
-
-class SimplificationResult:
-    """Outcome of :func:`simplify_cnf`.
-
-    Attributes
-    ----------
-    cnf:
-        The reduced formula (without the implied unit clauses).
-    units:
-        ``{var: bool}`` assignments forced by unit propagation or chosen
-        for pure literals.
-    conflict:
-        True iff preprocessing derived the empty clause (UNSAT input).
-    stats:
-        Per-pass reduction counters.
-    """
-
-    def __init__(self, cnf, units, conflict, stats):
-        self.cnf = cnf
-        self.units = units
-        self.conflict = conflict
-        self.stats = stats
+from repro.formula.cnf import lit_var, lit_sign
 
 
 def propagate_units(clauses, assignment):
@@ -73,139 +44,3 @@ def propagate_units(clauses, assignment):
             next_clauses.append(tuple(kept))
         clauses = next_clauses
     return clauses, False
-
-
-def eliminate_pure_literals(clauses, assignment, frozen):
-    """Assign variables occurring in only one polarity.
-
-    ``frozen`` variables are skipped (their value is not ours to pick).
-    Returns the reduced clause list; mutates ``assignment``.
-    """
-    changed = True
-    while changed:
-        changed = False
-        polarity = {}
-        for clause in clauses:
-            for l in clause:
-                v = lit_var(l)
-                if v in frozen or v in assignment:
-                    continue
-                seen = polarity.get(v)
-                if seen is None:
-                    polarity[v] = lit_sign(l)
-                elif seen != lit_sign(l):
-                    polarity[v] = "both"
-        pures = {v: p for v, p in polarity.items() if p != "both"}
-        if not pures:
-            break
-        for v, value in pures.items():
-            assignment[v] = value
-        clauses = [c for c in clauses
-                   if not any(lit_var(l) in pures
-                              and pures[lit_var(l)] == lit_sign(l)
-                              for l in c)]
-        changed = True
-    return clauses
-
-
-def remove_subsumed(clauses):
-    """Drop clauses subsumed by another clause (C ⊆ D removes D).
-
-    Uses a one-watched-literal scheme: each clause is checked against
-    the candidates sharing its least-occurring literal.
-    """
-    clause_sets = [frozenset(c) for c in clauses]
-    occurs = {}
-    for i, cs in enumerate(clause_sets):
-        for l in cs:
-            occurs.setdefault(l, []).append(i)
-    removed = set()
-    order = sorted(range(len(clause_sets)),
-                   key=lambda i: len(clause_sets[i]))
-    for i in order:
-        if i in removed:
-            continue
-        small = clause_sets[i]
-        pivot = min(small, key=lambda l: len(occurs.get(l, ())))
-        for j in occurs.get(pivot, ()):
-            if j == i or j in removed:
-                continue
-            if len(clause_sets[j]) > len(small) and \
-                    small <= clause_sets[j]:
-                removed.add(j)
-    return [clauses[i] for i in range(len(clauses)) if i not in removed], \
-        len(removed)
-
-
-def strengthen_self_subsuming(clauses):
-    """Self-subsuming resolution: if C ∪ {l} and D ⊇ C ∪ {¬l}, drop ¬l
-    from D.  One pass; returns ``(clauses, strengthened_count)``."""
-    clause_sets = [set(c) for c in clauses]
-    occurs = {}
-    for i, cs in enumerate(clause_sets):
-        for l in cs:
-            occurs.setdefault(l, set()).add(i)
-    strengthened = 0
-    for i, cs in enumerate(clause_sets):
-        for l in list(cs):
-            base = cs - {l}
-            if not base:
-                continue
-            pivot = min(base, key=lambda x: len(occurs.get(x, ())))
-            for j in occurs.get(pivot, set()):
-                if j == i:
-                    continue
-                other = clause_sets[j]
-                if -l in other and base <= (other - {-l}):
-                    other.discard(-l)
-                    occurs.get(-l, set()).discard(j)
-                    strengthened += 1
-    return [tuple(sorted(cs)) for cs in clause_sets if cs], strengthened
-
-
-def simplify_cnf(cnf, frozen=(), use_pure_literals=True,
-                 use_subsumption=True, use_self_subsumption=False):
-    """Run the preprocessing pipeline to a fixpoint.
-
-    Parameters
-    ----------
-    cnf:
-        Input :class:`CNF` (not mutated).
-    frozen:
-        Variables that must not be assigned by pure-literal elimination.
-    """
-    clauses = [tuple(c) for c in cnf.clauses]
-    assignment = {}
-    stats = {"units": 0, "pures": 0, "subsumed": 0, "strengthened": 0}
-
-    while True:
-        before_units = len(assignment)
-        clauses, conflict = propagate_units(clauses, assignment)
-        stats["units"] += len(assignment) - before_units
-        if conflict:
-            out = CNF(num_vars=cnf.num_vars)
-            out.clauses.append(())
-            return SimplificationResult(out, assignment, True, stats)
-
-        progressed = False
-        if use_pure_literals:
-            before = len(assignment)
-            clauses = eliminate_pure_literals(clauses, assignment,
-                                              set(frozen))
-            stats["pures"] += len(assignment) - before
-            progressed |= len(assignment) > before
-        if use_subsumption:
-            clauses, removed = remove_subsumed(clauses)
-            stats["subsumed"] += removed
-            progressed |= removed > 0
-        if use_self_subsumption:
-            clauses, strengthened = strengthen_self_subsuming(clauses)
-            stats["strengthened"] += strengthened
-            progressed |= strengthened > 0
-        if not progressed:
-            break
-
-    out = CNF(num_vars=cnf.num_vars)
-    for clause in clauses:
-        out.clauses.append(tuple(clause))
-    return SimplificationResult(out, assignment, False, stats)

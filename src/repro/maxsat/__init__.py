@@ -21,7 +21,7 @@ Two complete algorithms are provided:
 from repro.maxsat.types import MaxSatResult, SoftClause
 from repro.maxsat.fumalik import fu_malik
 from repro.maxsat.linear import linear_search
-from repro.maxsat.cardinality import encode_at_most_k, encode_at_least_k
+from repro.maxsat.cardinality import encode_at_most_k
 
 from repro.utils.errors import ReproError
 
@@ -56,5 +56,4 @@ __all__ = [
     "MaxSatResult",
     "SoftClause",
     "encode_at_most_k",
-    "encode_at_least_k",
 ]

@@ -1,7 +1,7 @@
 """Cardinality constraint encodings.
 
-Sequential-counter (Sinz 2005) encodings of ``Σ lits ≤ k`` and
-``Σ lits ≥ k`` over DIMACS literals.  Fresh auxiliary variables are
+Sequential-counter (Sinz 2005) encoding of ``Σ lits ≤ k`` over DIMACS
+literals, plus a pairwise exactly-one.  Fresh auxiliary variables are
 allocated from the target CNF, so callers must encode into the same CNF
 object they will solve.
 """
@@ -33,22 +33,6 @@ def encode_at_most_k(cnf, lits, k):
             cnf.add_clause((-lits[i], -s[i - 1][j - 1], s[i][j]))
             cnf.add_clause((-s[i - 1][j], s[i][j]))
         cnf.add_clause((-lits[i], -s[i - 1][k - 1]))
-
-
-def encode_at_least_k(cnf, lits, k):
-    """Add clauses enforcing at least ``k`` of ``lits`` true.
-
-    Encoded as "at most n−k of the negations".
-    """
-    lits = list(lits)
-    n = len(lits)
-    if k <= 0:
-        return
-    if k > n:
-        # Unsatisfiable on purpose: caller asked for the impossible.
-        cnf.add_clause(())
-        return
-    encode_at_most_k(cnf, [-l for l in lits], n - k)
 
 
 def encode_exactly_one(cnf, lits):

@@ -9,17 +9,13 @@ scheme mirrors Manthan's: after a pilot round, each existential variable's
 polarity weight is set from its observed marginal so that skewed variables
 keep appearing with both labels in the training data.
 
-:mod:`repro.sampling.xor` adds optional pairwise-independent XOR hashing
-(UniGen-style cell thinning) for callers that want stronger uniformity
-guarantees at extra cost.
+:mod:`repro.sampling.xor` encodes parity constraints as CNF clauses.
 """
 
-from repro.sampling.sampler import Sampler, sample_models
-from repro.sampling.xor import random_xor_constraints, add_parity_constraint
+from repro.sampling.sampler import Sampler
+from repro.sampling.xor import add_parity_constraint
 
 __all__ = [
     "Sampler",
-    "sample_models",
-    "random_xor_constraints",
     "add_parity_constraint",
 ]

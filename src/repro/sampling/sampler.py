@@ -202,10 +202,3 @@ class Sampler:
                 "backend_fallback": self.backend_fallback,
                 "failovers": self.failovers}
 
-
-def sample_models(cnf, count, rng=None, weighted_vars=(), deadline=None,
-                  backend="python"):
-    """One-shot convenience wrapper around :class:`Sampler`."""
-    sampler = Sampler(cnf, rng=rng, weighted_vars=weighted_vars,
-                      backend=backend)
-    return sampler.draw(count, deadline=deadline)

@@ -1,12 +1,7 @@
-"""XOR (parity) constraints for hash-based sampling.
+"""XOR (parity) constraints as CNF clauses.
 
-A random XOR over a variable set splits the solution space into two
-roughly equal cells; stacking ``k`` of them isolates a ``2^-k`` fraction.
-Sampling inside the cell and discarding the hash variables approximates
-uniform sampling with pairwise-independence guarantees (the UniGen
-family).  The Manthan3 pipeline does not require this strength — it is
-provided as the documented "stronger uniformity" option and exercised by
-property tests.
+The Skolem-engine benchmark builds its parity specifications with
+:func:`add_parity_constraint`.
 """
 
 
@@ -32,14 +27,3 @@ def add_parity_constraint(cnf, variables, parity):
         acc = nxt
     cnf.add_unit(acc if parity else -acc)
 
-
-def random_xor_constraints(cnf, variables, count, rng):
-    """Conjoin ``count`` random XORs over ``variables`` (density 1/2).
-
-    Mutates ``cnf`` in place and returns it for chaining.
-    """
-    variables = list(variables)
-    for _ in range(count):
-        chosen = [v for v in variables if rng.random() < 0.5]
-        add_parity_constraint(cnf, chosen, rng.random() < 0.5)
-    return cnf

@@ -19,7 +19,6 @@ optional python-sat package.
 """
 
 from repro.sat.solver import Solver, SAT, UNSAT, UNKNOWN, solve_cnf
-from repro.sat.enumerate import enumerate_models, count_models, block_assignment
 from repro.sat.backend import (
     BackendUnavailableError,
     PySATBackend,
@@ -38,9 +37,6 @@ __all__ = [
     "UNSAT",
     "UNKNOWN",
     "solve_cnf",
-    "enumerate_models",
-    "count_models",
-    "block_assignment",
     "SatBackend",
     "PythonBackend",
     "PySATBackend",

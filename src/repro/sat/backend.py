@@ -2,7 +2,7 @@
 
 Every oracle consumer in the repo — the persistent sessions in
 :mod:`repro.core.sessions`, the Tseitin :class:`~repro.formula.tseitin.
-SolverSink`, the sampler, and model enumeration — talks to the solver
+SolverSink` and the sampler — talks to the solver
 through the same narrow surface.  :class:`SatBackend` names that
 surface explicitly so the pure-Python CDCL can be swapped for a native
 solver without touching the synthesis loop:

@@ -6,8 +6,10 @@ allowed, but it must be *deliberate* — update the snapshot in the same
 change that updates ``docs/API.md`` and the examples.
 """
 
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -100,8 +102,17 @@ class TestSurfaceSnapshot:
         assert sorted(api.__all__) == FROZEN_ALL
 
     def test_every_all_entry_exists(self):
-        for name in api.__all__:
-            assert getattr(api, name) is not None
+        # The root package and every subpackage: a name deleted from a
+        # module but left in its package's __all__ fails here.
+        module_names = ["repro"] + [
+            "repro." + info.name for info in pkgutil.iter_modules(
+                repro.__path__) if info.ispkg]
+        assert "repro.sat" in module_names
+        for module_name in module_names:
+            module = importlib.import_module(module_name)
+            for name in module.__all__:
+                assert getattr(module, name, None) is not None, \
+                    "%s.__all__ names missing %r" % (module_name, name)
 
     def test_signatures_are_frozen(self):
         for dotted, expected in FROZEN_SIGNATURES.items():

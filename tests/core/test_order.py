@@ -6,7 +6,6 @@ from repro.core.candidates import DependencyTracker
 from repro.core.order import (
     find_order,
     ground_vector,
-    order_index,
     substitute_candidates,
 )
 from repro.dqbf.instance import DQBFInstance
@@ -32,8 +31,6 @@ class TestFindOrder:
         tracker = DependencyTracker(inst.existentials)
         assert sorted(find_order(inst, tracker)) == [3, 4, 5]
 
-    def test_order_index(self):
-        assert order_index([5, 3, 4]) == {5: 0, 3: 1, 4: 2}
 
 
 class TestSubstitution:

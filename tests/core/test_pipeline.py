@@ -333,6 +333,27 @@ class TestPipelineComposition:
     def test_registry_covers_default_list(self):
         assert set(DEFAULT_PHASE_NAMES) <= set(PHASES)
 
+    def test_missing_prerequisite_rejected_when_built(self):
+        from repro.portfolio import ENGINE_SPECS
+        from repro.portfolio.parallel import PipelineEngineSpec
+
+        for phases, missing in [
+                (("unit_fastpath", "learn", "order", "verify_repair"),
+                 "sample"),
+                (("sample", "preprocess", "order", "verify_repair"),
+                 "learn"),
+                (("sample", "learn", "verify_repair"), "order"),
+                (("sample", "learn", "verify_repair", "order"), "order")]:
+            with pytest.raises(ReproError,
+                               match="needs phase %r" % missing):
+                Manthan3(phases=phases)
+        # every registered pipeline engine passes the check
+        names = [name for name, spec in ENGINE_SPECS.items()
+                 if isinstance(spec, PipelineEngineSpec)]
+        assert "manthan3-nopre" in names
+        for name in names:
+            assert make_engine(name, seed=0).pipeline.phases, name
+
     def test_ablated_pipeline_synthesizes(self):
         """The preprocessing-free phase list still solves instances —
         preprocessing is an accelerator, not a soundness requirement."""

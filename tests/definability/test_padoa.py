@@ -3,11 +3,9 @@
 import itertools
 
 from repro.definability.padoa import (
-    extract_all_definitions,
     extract_definition,
     is_uniquely_defined,
 )
-from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
 
 
@@ -68,11 +66,3 @@ class TestExtraction:
         expr = extract_definition(cnf, 3, [1])
         assert expr.evaluate({1: True})
         assert not expr.evaluate({1: False})
-
-
-class TestExtractAll:
-    def test_mixed_targets(self):
-        cnf = CNF([[-3, 1], [3, -1]], num_vars=4)  # 3 defined, 4 free
-        found = extract_all_definitions(cnf, {3: [1], 4: [1]})
-        assert 3 in found and 4 not in found
-        assert found[3].evaluate({1: True})

@@ -41,7 +41,7 @@ class TestViews:
 
     def test_henkin_set(self):
         inst = make([1, 2], {3: [1, 2]}, [[3]])
-        assert inst.henkin_set(3) == frozenset({1, 2})
+        assert inst.dependencies[3] == frozenset({1, 2})
 
     def test_is_skolem(self):
         inst = make([1, 2], {3: [1, 2], 4: [2, 1]}, [[3, 4]])

@@ -162,11 +162,6 @@ class TestHelpers:
         assert c.evaluate({1: False, 2: False})
         assert not c.evaluate({1: False, 2: True})
 
-    def test_from_assignment(self):
-        m = bf.from_assignment({1: True, 3: False})
-        assert m.evaluate({1: True, 3: False})
-        assert not m.evaluate({1: True, 3: True})
-
     def test_cnf_to_expr(self):
         from repro.formula.cnf import CNF
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.formula.cnf import CNF, clause_is_tautology, lit_sign, lit_var, neg
+from repro.formula.cnf import CNF, lit_sign, lit_var, neg
 from repro.utils.errors import ReproError
 
 
@@ -19,11 +19,6 @@ class TestLiteralHelpers:
     def test_neg(self):
         assert neg(4) == -4
         assert neg(-4) == 4
-
-    def test_tautology_detection(self):
-        assert clause_is_tautology([1, -1])
-        assert not clause_is_tautology([1, 2, -3])
-
 
 class TestConstruction:
     def test_add_clause_raises_on_zero(self):

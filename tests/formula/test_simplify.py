@@ -1,17 +1,10 @@
-"""Tests for the CNF preprocessor."""
+"""Tests for unit propagation."""
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.formula.cnf import CNF
-from repro.formula.simplify import (
-    eliminate_pure_literals,
-    propagate_units,
-    remove_subsumed,
-    simplify_cnf,
-    strengthen_self_subsuming,
-)
+from repro.formula.simplify import propagate_units
 
 
 class TestUnitPropagation:
@@ -39,105 +32,29 @@ class TestUnitPropagation:
         assert out == [(2, 3)]
 
 
-class TestPureLiterals:
-    def test_pure_positive(self):
-        clauses = [(1, 2), (1, -3)]
-        out = eliminate_pure_literals(clauses, a := {}, frozen=set())
-        assert a[1] is True
-        assert out == []
-
-    def test_frozen_skipped(self):
-        clauses = [(1, 2), (1, -3)]
-        out = eliminate_pure_literals(clauses, a := {}, frozen={1})
-        assert 1 not in a
-
-    def test_cascading(self):
-        # removing the 1-clauses makes -2 pure next round
-        clauses = [(1, 2), (-2, 3), (-2, -3)]
-        eliminate_pure_literals(clauses, a := {}, frozen=set())
-        assert a[1] is True
-
-
-class TestSubsumption:
-    def test_subset_removes_superset(self):
-        clauses = [(1, 2), (1, 2, 3)]
-        out, removed = remove_subsumed(clauses)
-        assert removed == 1
-        assert out == [(1, 2)]
-
-    def test_unrelated_kept(self):
-        clauses = [(1, 2), (3, 4)]
-        out, removed = remove_subsumed(clauses)
-        assert removed == 0
-        assert len(out) == 2
-
-    def test_equal_clauses_keep_one_copy_each(self):
-        # identical clauses do not subsume each other (len > guard)
-        clauses = [(1, 2), (1, 2)]
-        out, removed = remove_subsumed(clauses)
-        assert len(out) == 2
-
-
-class TestSelfSubsumption:
-    def test_strengthening(self):
-        # (1 2) and (−1 2 3): resolving on 1 gives (2 3) ⊂ (−1 2 3)
-        clauses = [(1, 2), (-1, 2, 3)]
-        out, count = strengthen_self_subsuming(clauses)
-        assert count == 1
-        assert sorted(map(sorted, out)) == [[1, 2], [2, 3]]
-
-
-class TestPipeline:
-    def test_self_subsumption_derives_units(self):
-        # (1∨2) and (¬1∨2) strengthen to the unit (2), then propagate.
-        cnf = CNF([[1, 2], [-1, 2], [-2, 3, 4], [3, 4, 5]])
-        result = simplify_cnf(cnf, frozen=[3, 4, 5],
-                              use_self_subsumption=True)
-        assert not result.conflict
-        assert result.units[2] is True
-
-    def test_conflict_detection(self):
-        cnf = CNF([[1], [-1, 2], [-2, -1]])
-        result = simplify_cnf(cnf)
-        assert result.conflict
-
-    def test_stats_counted(self):
-        cnf = CNF([[1], [-1, 2], [3, 4], [3, 4, 5]])
-        result = simplify_cnf(cnf, frozen=[3, 4, 5])
-        assert result.stats["units"] >= 2
-        assert result.stats["subsumed"] >= 1
-
-    def test_flags_disable(self):
-        cnf = CNF([[1, 2], [1, 2, 3]])
-        result = simplify_cnf(cnf, frozen=[1, 2, 3],
-                              use_pure_literals=False,
-                              use_subsumption=False)
-        assert len(result.cnf) == 2
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.integers(min_value=-5, max_value=5)
                          .filter(lambda l: l != 0),
                          min_size=1, max_size=3),
                 min_size=1, max_size=12))
 def test_simplify_preserves_satisfiability(clauses):
-    """Property: preprocessing never changes satisfiability when every
-    variable is frozen (no pure-literal choices made for us)."""
-    cnf = CNF(clauses, num_vars=5)
-    result = simplify_cnf(cnf, frozen=range(1, 6))
+    """Property: the reduced clauses under the forced units are
+    satisfiable iff the input is, and a conflict means it is not."""
+    assignment = {}
+    reduced, conflict = propagate_units([tuple(c) for c in clauses],
+                                        assignment)
 
     def satisfiable(formula, forced):
         for bits in itertools.product([False, True], repeat=5):
             a = {i + 1: bits[i] for i in range(5)}
             if any(a[v] != val for v, val in forced.items()):
                 continue
-            if all(any(a[abs(l)] == (l > 0) for l in c)
-                   for c in formula.clauses):
+            if all(any(a[abs(l)] == (l > 0) for l in c) for c in formula):
                 return True
         return False
 
-    original = satisfiable(cnf, {})
-    if result.conflict:
+    original = satisfiable(clauses, {})
+    if conflict:
         assert not original
     else:
-        assert satisfiable(result.cnf, result.units) == original
+        assert satisfiable(reduced, assignment) == original

@@ -1,26 +1,37 @@
 """Tests for Tseitin encoding: CNF must be equisatisfiable and the
 output literal equivalent to the expression on the original variables."""
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
 from repro.formula.tseitin import TseitinEncoder, expr_to_cnf, \
     negated_cnf_expr
-from repro.sat.enumerate import enumerate_models
 from repro.sat.solver import Solver, SAT, UNSAT
 
 from tests.conftest import brute_force_models
 
 
+def _assignments(variables):
+    """Every assignment of ``variables`` as ``(dict, assumptions)``."""
+    for bits in itertools.product([False, True], repeat=len(variables)):
+        yield (dict(zip(variables, bits)),
+               [v if b else -v for v, b in zip(variables, bits)])
+
+
 def _assert_encoding_correct(expr, num_base_vars):
-    """Check via model enumeration that out_lit ↔ expr in every model."""
+    """For every base assignment α: α ∧ out is SAT iff expr(α), and
+    α ∧ ¬out is SAT iff ¬expr(α) — so out ↔ expr in every model."""
     cnf, out = expr_to_cnf(expr, num_vars=num_base_vars)
-    base_vars = list(range(1, num_base_vars + 1))
-    for model in enumerate_models(cnf, variables=base_vars, limit=None):
-        want = expr.evaluate(model)
-        got = model[abs(out)] == (out > 0)
-        assert got == want, (expr, model)
+    solver = Solver(cnf)
+    for alpha, assumptions in _assignments(range(1, num_base_vars + 1)):
+        want = expr.evaluate(alpha)
+        assert (solver.solve(assumptions=assumptions + [out]) == SAT) \
+            == want, (expr, alpha)
+        assert (solver.solve(assumptions=assumptions + [-out]) == SAT) \
+            != want, (expr, alpha)
 
 
 class TestEncoder:
@@ -72,8 +83,10 @@ class TestEncoder:
         cnf = CNF(num_vars=3)
         enc = TseitinEncoder(cnf)
         enc.assert_iff(3, bf.and_(bf.var(1), bf.var(2)))
-        for model in enumerate_models(cnf, variables=[1, 2, 3]):
-            assert model[3] == (model[1] and model[2])
+        solver = Solver(cnf)
+        for alpha, assumptions in _assignments([1, 2, 3]):
+            assert (solver.solve(assumptions=assumptions) == SAT) == \
+                (alpha[3] == (alpha[1] and alpha[2])), alpha
 
 
 class TestNegatedCnfExpr:
@@ -157,11 +170,12 @@ class TestSolverSink:
         solver.ensure_vars(3)
         enc = TseitinEncoder(SolverSink(solver))
         out_live = enc.encode(expr)
-        for model in enumerate_models(cnf, variables=[1, 2, 3], limit=None):
-            want = expr.evaluate(model)
-            assumptions = [v if model[v] else -v for v in (1, 2, 3)]
-            assert solver.solve(assumptions=assumptions + [out_live]) == \
-                (SAT if want else UNSAT)
+        cnf_solver = Solver(cnf)
+        for alpha, assumptions in _assignments([1, 2, 3]):
+            want = SAT if expr.evaluate(alpha) else UNSAT
+            assert solver.solve(assumptions=assumptions + [out_live]) == want
+            assert cnf_solver.solve(assumptions=assumptions + [out_cnf]) \
+                == want
 
     def test_group_routing(self):
         from repro.formula.tseitin import SolverSink

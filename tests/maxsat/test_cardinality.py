@@ -4,7 +4,6 @@ import itertools
 
 from repro.formula.cnf import CNF
 from repro.maxsat.cardinality import (
-    encode_at_least_k,
     encode_at_most_k,
     encode_exactly_one,
 )
@@ -54,28 +53,6 @@ class TestAtMostK:
         solver = Solver(cnf)
         assert solver.solve(assumptions=[-1, -2]) == UNSAT
         assert solver.solve(assumptions=[-1, 2]) == SAT
-
-
-class TestAtLeastK:
-    def test_semantics_exhaustively(self):
-        for n in (1, 2, 3):
-            for k in range(0, n + 2):
-                cnf = CNF(num_vars=n)
-                lits = list(range(1, n + 1))
-                encode_at_least_k(cnf, lits, k)
-                models = _models_over(cnf, lits)
-                if k > n:
-                    assert models == []
-                else:
-                    allowed = [b for b in
-                               itertools.product([False, True], repeat=n)
-                               if sum(b) >= k]
-                    assert len(models) == len(allowed)
-
-    def test_k_zero_is_noop(self):
-        cnf = CNF(num_vars=2)
-        encode_at_least_k(cnf, [1, 2], 0)
-        assert len(cnf) == 0
 
 
 class TestExactlyOne:

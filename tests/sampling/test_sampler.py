@@ -3,7 +3,7 @@
 import pytest
 
 from repro.formula.cnf import CNF
-from repro.sampling import Sampler, sample_models
+from repro.sampling import Sampler
 from repro.utils.errors import ResourceBudgetExceeded
 from repro.utils.timer import Deadline
 
@@ -11,33 +11,33 @@ from repro.utils.timer import Deadline
 class TestSampler:
     def test_samples_are_models(self):
         cnf = CNF([[1, 2], [-1, 3], [-2, -3]])
-        for model in sample_models(cnf, 30, rng=1):
+        for model in Sampler(cnf, rng=1).draw(30):
             assert cnf.evaluate(model)
 
     def test_requested_count(self):
         cnf = CNF(num_vars=5)
-        assert len(sample_models(cnf, 25, rng=2)) == 25
+        assert len(Sampler(cnf, rng=2).draw(25)) == 25
 
     def test_unsat_yields_empty(self):
         cnf = CNF([[1], [-1]])
-        assert sample_models(cnf, 10) == []
+        assert Sampler(cnf).draw(10) == []
 
     def test_deterministic_under_seed(self):
         cnf = CNF([[1, 2, 3]], num_vars=3)
-        a = sample_models(cnf, 10, rng=42)
-        b = sample_models(cnf, 10, rng=42)
+        a = Sampler(cnf, rng=42).draw(10)
+        b = Sampler(cnf, rng=42).draw(10)
         assert a == b
 
     def test_seeds_change_samples(self):
         cnf = CNF([[1, 2, 3]], num_vars=3)
-        a = sample_models(cnf, 20, rng=1)
-        b = sample_models(cnf, 20, rng=2)
+        a = Sampler(cnf, rng=1).draw(20)
+        b = Sampler(cnf, rng=2).draw(20)
         assert a != b
 
     def test_diversity_on_unconstrained_formula(self):
         """Sampler must not return one model over and over."""
         cnf = CNF(num_vars=6)
-        models = sample_models(cnf, 40, rng=3)
+        models = Sampler(cnf, rng=3).draw(40)
         distinct = {tuple(sorted(m.items())) for m in models}
         assert len(distinct) > 10
 
@@ -45,7 +45,7 @@ class TestSampler:
         """On a free variable, the sampled marginal should not collapse
         to one polarity (the whole point of randomized polarities)."""
         cnf = CNF(num_vars=4)
-        models = sample_models(cnf, 60, rng=4)
+        models = Sampler(cnf, rng=4).draw(60)
         trues = sum(1 for m in models if m[1])
         assert 5 <= trues <= 55
 
@@ -89,8 +89,8 @@ class TestPersistentSolver:
 
     def test_persistent_deterministic_under_seed(self):
         cnf = CNF([[1, 2, 3]], num_vars=3)
-        a = sample_models(cnf, 15, rng=42)
-        b = sample_models(cnf, 15, rng=42)
+        a = Sampler(cnf, rng=42).draw(15)
+        b = Sampler(cnf, rng=42).draw(15)
         assert a == b
 
     def test_adaptive_weights_flow_into_persistent_solver(self):
