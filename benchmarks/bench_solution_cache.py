@@ -1,12 +1,16 @@
 """PERF — solution cache: hit path vs cold solve.
 
-Times the full cache-hit path — tier-1/2 lookup, remapping the stored
+Times the full first-hit path — tier-1/2 lookup, remapping the stored
 canonical vector through the witnessing permutation onto the submitted
-instance's own numbering, and the mandatory from-scratch
-re-certification (``check_henkin_vector_incremental``) — against the
-cold solve it replaces, on hard planted instances.  Hits are measured
-on *permuted* copies of the solved instance, so every hit exercises a
-genuinely different variable numbering than the stored entry.
+instance's own numbering, and the SAT proof
+(``check_henkin_vector_incremental``) — against the cold solve it
+replaces, on hard planted instances.  Hits are measured on *permuted*
+copies of the solved instance, so every hit exercises a genuinely
+different variable numbering than the stored entry.  Each seed uses a
+fresh cache and times one hit, which is therefore always proven by
+SAT: only later hits in the same process on exact renamings of an
+already proven instance skip SAT (see :mod:`repro.cache.resolve`), so
+the speedup recorded here is the cache's floor.
 
 Fingerprinting happens once at ingest (``Problem.fingerprint`` memoizes
 it on the instance) and is therefore timed separately, not inside the

@@ -62,7 +62,7 @@ class Solver:
         A :class:`~repro.cache.store.SolutionCache` (or a path to one)
         consulted by :meth:`solve`: equivalent resubmissions — same
         instance up to variable renaming and clause/literal reordering —
-        return a **re-certified** cached solution instead of a cold
+        return a **proven** cached solution instead of a cold
         solve, and decisive cold results are stored back.  ``None``
         (the default) disables caching entirely.
     """
@@ -149,7 +149,7 @@ class Solver:
         runs.
 
         With a ``cache`` configured, the cache is consulted first: a
-        hit is re-certified against *this* instance before it is
+        hit is proven for *this* instance before it is
         returned (``solution.certified`` is ``True``, and
         ``stats["cache"]`` records the fingerprint and certification
         time); on a miss the cold solve runs exactly as without a
@@ -324,7 +324,7 @@ def solve_batch(problems, solvers, timeout=None, jobs=1, seed=None,
 
     ``solution_cache`` (a :class:`~repro.cache.store.SolutionCache` or
     a path) lets the campaign answer equivalent resubmissions from the
-    certified solution cache: hits are re-certified parent-side and
+    certified solution cache: hits are proven parent-side and
     recorded without ever entering the pool, misses run cold exactly as
     without a cache (and are stamped with their ``stats["cache"]``
     block), and decisive cold outcomes are stored back.

@@ -15,8 +15,10 @@ those into near-constant-time answers:
   safe under concurrent elastic workers);
 * :mod:`repro.cache.resolve` — the lookup/store gate every entry point
   (``Solver.solve``, ``solve_batch``, ``ElasticWorker``) goes through.
-  **Every hit is independently re-certified** before it is returned, so
-  a hash collision or a corrupt entry can cost time, never correctness.
+  **Every hit is proven for the submitted instance** before it is
+  returned — by a SAT check, or by exact renaming of an instance this
+  process already proved the same entry for by SAT — so a hash
+  collision or a corrupt entry can cost time, never correctness.
 """
 
 from repro.cache.fingerprint import (

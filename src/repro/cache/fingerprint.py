@@ -34,7 +34,7 @@ graph canonical labelling):
    branch so far is kept and the fingerprint is marked non-canonical —
    two equivalent instances may then miss each other in the cache (a
    spurious cold solve), but a wrong hit is impossible because every
-   hit is re-certified anyway.
+   hit is proven for the submitted instance anyway.
 
 The certificate orders universals before existentials (``1..|X|`` then
 ``|X|+1..|X|+|Y|``), serializes the dependency sets and the sorted,

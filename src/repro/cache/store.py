@@ -16,19 +16,22 @@ every process pointing at the same path:
   undecodable lines (a torn tail from a killed writer only loses
   itself): dropping a cache line is always safe because a miss just
   means a cold solve, and a *wrong* line can at worst produce a hit
-  that fails re-certification and is evicted.
+  that fails its SAT check and is evicted.
 * ``<path>.payloads/<digest>.aag`` — one AIGER ASCII file per
   ``SYNTHESIZED`` entry holding the canonical Skolem vector
   (written to a temp file and ``os.replace``\\ d, so readers never see
   a half-written payload; concurrent writers of the *same* digest both
-  hold re-certifiable vectors, so last-writer-wins is sound).
+  hold re-checkable vectors, so last-writer-wins is sound).
   ``FALSE`` entries carry their universal witness inline in the index
   line instead.
 
 Corruption anywhere — unreadable payload, malformed index value,
 mismatched shapes — degrades to a miss plus an eviction, never an
-error and never a wrong answer (hits are re-certified by the caller;
-see :mod:`repro.cache.resolve`).
+error and never a wrong answer (the caller proves every hit for the
+submitted instance, by SAT or by exact renaming of an instance it
+proved by SAT earlier in this process; see :mod:`repro.cache.resolve`).
+A freshly loaded entry carries no such proof, so its first hit in a
+process is always proven by SAT.
 """
 
 import json
@@ -50,14 +53,20 @@ class CacheEntry:
     ``status`` is ``Status.SYNTHESIZED`` (``functions`` holds the
     canonical ``{y: BoolExpr}`` vector) or ``Status.FALSE``
     (``witness`` holds the canonical ``{x: bool}`` falsity witness).
+    ``proven`` is ``None`` until :func:`repro.cache.resolve.cache_lookup`
+    proves the entry by SAT for some instance; it then holds that
+    instance's image in canonical ids, so exact renamings of it are
+    proven without SAT.  It lives only on this object: it is never
+    written to disk and is dropped with the entry.
     """
 
-    __slots__ = ("status", "functions", "witness")
+    __slots__ = ("status", "functions", "witness", "proven")
 
     def __init__(self, status, functions=None, witness=None):
         self.status = status
         self.functions = functions
         self.witness = witness
+        self.proven = None
 
     def __repr__(self):
         return "CacheEntry(%s)" % (self.status,)

@@ -107,7 +107,7 @@ def cmd_synth(args):
 
     if solution.status == Status.FALSE:
         if solution.witness is not None:
-            # A cache hit arrives already re-certified against this
+            # A cache hit arrives already proven for this
             # very instance; anything else is checked here.
             valid = solution.certified or solution.certify().valid
             print("falsity witness check: %s"
@@ -368,8 +368,8 @@ def build_parser():
                             "AIGER payloads next to it): equivalent "
                             "resubmissions — same formula up to "
                             "variable renaming and clause reordering — "
-                            "answer from the cache after independent "
-                            "re-certification")
+                            "answer from the cache once proven for the "
+                            "submitted instance")
     synth.add_argument("--no-cache", action="store_true",
                        help="ignore --solution-cache entirely")
     synth.add_argument("-o", "--output", default=None)
@@ -471,8 +471,8 @@ def build_parser():
                            help="certified solution cache shared by the "
                                 "campaign (and by concurrent elastic "
                                 "workers): instances equivalent to a "
-                                "cached one answer instantly after "
-                                "re-certification; cold decisive "
+                                "cached one answer instantly once "
+                                "proven; cold decisive "
                                 "outcomes are stored back")
     run_suite.add_argument("--no-cache", action="store_true",
                            help="ignore --solution-cache entirely")

@@ -10,7 +10,8 @@ live at the pipeline layer.
 
 from repro.core.config import Manthan3Config
 from repro.core.context import SynthesisContext
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import _PREREQUISITES, Pipeline
+from repro.utils.errors import ReproError
 from repro.utils.timer import Deadline
 
 
@@ -43,6 +44,14 @@ class Manthan3:
     def __init__(self, config=None, phases=None):
         self.config = config or Manthan3Config()
         self.pipeline = Pipeline(phases)
+        # ``Pipeline`` lets a list's first phase read a context its
+        # caller prepared; ``run`` always builds a fresh one.
+        first = self.pipeline.phases[0].name if self.pipeline.phases \
+            else None
+        if first in _PREREQUISITES:
+            raise ReproError(
+                "pipeline phase %r needs phase %r earlier in the list"
+                % (first, _PREREQUISITES[first]))
 
     def run(self, instance, timeout=None, listeners=None, cancel=None):
         """Synthesize Henkin functions for ``instance``.

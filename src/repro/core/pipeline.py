@@ -22,7 +22,9 @@ over a shared :class:`~repro.core.context.SynthesisContext`, and a
   list that drops a phase a later one reads from (``learn`` needs
   ``sample``, ``order`` needs ``learn``, ``verify_repair`` needs
   ``order``) is refused when the pipeline is built; only the first
-  phase may start from a context the caller prepared.
+  phase may start from a context the caller prepared
+  (:class:`~repro.core.engine.Manthan3`, which always builds a fresh
+  one, refuses that too).
 
 The default phase list's trajectory — statuses *and* functions — is
 pinned by a SHA-256 digest (``tests/trajectory.py``) that is identical

@@ -95,9 +95,11 @@ def check_henkin_vector_incremental(instance, functions, deadline=None,
     across checks, the same effect that makes the engines' incremental
     verification sessions cheap.  Verdicts (and counterexamples on
     failure) agree with :func:`check_henkin_vector`; only the wall time
-    differs, which is why the solution cache re-certifies hits through
-    this path.  ``conflict_budget`` bounds the *total* conflicts across
-    all clause checks.
+    differs, which is why the solution cache proves a hit by SAT through
+    this path (once per entry and instance image in a process; exact
+    renamings of a proven instance need no SAT call, see
+    :mod:`repro.cache.resolve`).  ``conflict_budget`` bounds the
+    *total* conflicts across all clause checks.
     """
     rejected = _check_shape(instance, functions)
     if rejected is not None:

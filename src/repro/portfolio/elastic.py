@@ -127,7 +127,7 @@ class ElasticWorker:
         if several workers race to do it).
     ``solution_cache``
         A :class:`~repro.cache.store.SolutionCache` (or path) consulted
-        after claiming and before running each job: a re-certified hit
+        after claiming and before running each job: a proven hit
         is published as the job's record immediately (the solve never
         runs; ``summary["cache_hits"]`` counts them), misses run cold
         and get the ``stats["cache"]`` miss block stamped, and decisive
@@ -268,7 +268,7 @@ class ElasticWorker:
                 cache_info = None
                 if self.cache is not None:
                     # Consult the cache under the freshly held lease:
-                    # a re-certified hit publishes immediately and the
+                    # a proven hit publishes immediately and the
                     # solve never runs.
                     hit, cache_info = cache_lookup(
                         self.cache, by_pair[target],

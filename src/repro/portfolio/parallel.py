@@ -666,7 +666,7 @@ def run_campaign(instances, engines, timeout=None, certify=True,
 
     ``solution_cache`` (a :class:`~repro.cache.store.SolutionCache` or
     a path) is consulted once per instance *before* any job of that
-    instance is scheduled: a re-certified hit becomes the record of
+    instance is scheduled: a proven hit becomes the record of
     every engine pair directly (``stats["cache"]["hit"] = True``,
     ``certified=True``) without entering a worker, misses run cold
     exactly as without a cache and have the miss's ``stats["cache"]``
@@ -710,7 +710,7 @@ def run_campaign(instances, engines, timeout=None, certify=True,
             done[(record.engine, record.instance)] = record
 
     # One cache lookup per instance that still has open jobs; a
-    # re-certified hit answers every engine pair of that instance.
+    # proven hit answers every engine pair of that instance.
     cache_hits = {}  # instance name -> certified SynthesisResult
     cache_info = {}  # instance name -> stats["cache"] block (hit | miss)
     if cache is not None:

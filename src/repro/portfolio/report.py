@@ -125,12 +125,14 @@ def cache_summary(table):
     """Aggregate solution-cache accounting, or ``None``.
 
     Reads the ``stats["cache"]`` block every cache-consulting entry
-    point stamps (``{"fingerprint", "hit", "certify_s"?, "evicted"?}``).
-    Campaigns run without a cache carry no such blocks and the report
-    omits the section entirely.
+    point stamps (``{"fingerprint", "hit", "proof"?, "certify_s"?,
+    "evicted"?}``); ``proved`` counts hits by how they were proven
+    (``"sat"`` or ``"renaming"``).  Campaigns run without a cache carry
+    no such blocks and the report omits the section entirely.
     """
     consulted = 0
     hits = 0
+    proved = {"sat": 0, "renaming": 0}
     evictions = 0
     certify_s = 0.0
     for record in table.records:
@@ -140,14 +142,16 @@ def cache_summary(table):
         consulted += 1
         if info.get("hit"):
             hits += 1
+            proof = info.get("proof", "sat")
+            proved[proof] = proved.get(proof, 0) + 1
             certify_s += info.get("certify_s", 0.0)
         if info.get("evicted"):
             evictions += 1
     if not consulted:
         return None
     return {"consulted": consulted, "hits": hits,
-            "misses": consulted - hits, "evictions": evictions,
-            "certify_s": certify_s}
+            "misses": consulted - hits, "proved": proved,
+            "evictions": evictions, "certify_s": certify_s}
 
 
 #: Report label of each verify–repair ``UNKNOWN`` exit, by its reason.
@@ -257,8 +261,11 @@ def render_report(table, main_engine="manthan3", display_names=None,
         lines.append("-- solution cache --")
         lines.append("  hits / misses:     %d / %d"
                      % (cache["hits"], cache["misses"]))
+        lines.append("  hits proved by:    SAT %d / renaming %d"
+                     % (cache["proved"]["sat"],
+                        cache["proved"]["renaming"]))
         lines.append("  poisoned evicted:  %d" % cache["evictions"])
-        lines.append("  hit re-certify:    %.3f s total"
+        lines.append("  hit proofs:        %.3f s total"
                      % cache["certify_s"])
 
     lines.append("")

@@ -1,12 +1,16 @@
-"""The soundness gate: lookup re-certification, poisoning, store-back."""
+"""The soundness gate: lookup proofs, poisoning, store-back."""
+
+import pytest
 
 from repro.benchgen import generate_planted_instance
 from repro.cache import SolutionCache, cache_lookup, cache_store, \
     ensure_cache
-from repro.cache.fingerprint import fingerprint_instance
+from repro.cache import resolve
+from repro.cache.fingerprint import Fingerprint, fingerprint_instance
 from repro.core import synthesize
 from repro.core.result import Status, SynthesisResult
 from repro.dqbf.certificates import (
+    check_false_witness,
     check_henkin_vector,
     check_henkin_vector_incremental,
 )
@@ -103,6 +107,127 @@ class TestLookup:
         result, info = cache_lookup(cache, base)
         assert result is None
         assert "evicted" not in info
+
+
+def _synthesized_kind():
+    base = planted()
+    y = base.existentials[0]
+    # ``y`` and ``¬y`` as units: no vector satisfies this matrix.
+    other = DQBFInstance(base.universals, base.dependencies,
+                         CNF(list(base.matrix) + [[y], [-y]]),
+                         name="planted-contradicted")
+    return (base, other, "check_henkin_vector_incremental",
+            lambda inst, result: check_henkin_vector(
+                inst, result.functions).valid)
+
+
+def _false_kind():
+    base = false_instance()
+    # Without ``x1 ∨ x2 ∨ ¬y`` the witness x1 = x2 = 0 extends by y = 1.
+    other = DQBFInstance(base.universals, base.dependencies,
+                         CNF(list(base.matrix)[:1]), name="falsy-weakened")
+    return (base, other, "check_false_witness",
+            lambda inst, result: check_false_witness(
+                inst, result.witness).valid)
+
+
+@pytest.fixture(params=["synthesized", "false"])
+def kind(request, monkeypatch):
+    """``(base, other, sat_calls, independently_valid)`` per entry kind.
+
+    ``base`` is solved cold and stored; ``other`` is a non-isomorphic
+    instance over base's variables whose SAT check refutes base's
+    solution; ``sat_calls`` counts the lookup's calls to the kind's
+    SAT checker.
+    """
+    base, other, checker, valid = (_synthesized_kind()
+                                   if request.param == "synthesized"
+                                   else _false_kind())
+    sat_calls = []
+    wrapped = getattr(resolve, checker)
+
+    def counting(*args, **kwargs):
+        sat_calls.append(args[0].name)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(resolve, checker, counting)
+    return base, other, sat_calls, valid
+
+
+def _stored(base, path=None):
+    cache = SolutionCache(path)
+    assert cache_store(cache, base, synthesize(base, timeout=60))
+    return cache
+
+
+class TestProofByRenaming:
+    """One SAT proof per entry covers its exact renamings."""
+
+    def test_second_copy_is_proven_by_renaming(self, kind):
+        base, _other, sat_calls, valid = kind
+        cache = _stored(base)
+        for seed, proof in [(1, "sat"), (2, "renaming"), (3, "renaming")]:
+            copy, _pi = permuted_copy(base, seed)
+            result, info = cache_lookup(cache, copy)
+            assert info["hit"] is True and info["proof"] == proof
+            assert info["certify_s"] >= 0
+            assert result.stats["cache"]["proof"] == proof
+            assert valid(copy, result)
+        assert len(sat_calls) == 1
+
+    def test_different_image_under_same_digest_goes_to_sat(
+            self, kind, monkeypatch):
+        base, other, sat_calls, _valid = kind
+        cache = _stored(base)
+        _result, info = cache_lookup(cache, base)
+        assert info["proof"] == "sat"
+        # A colliding digest with a mapping that is a bijection onto
+        # other's variables: only the image tells the two apart.
+        stolen = fingerprint_instance(base)
+        monkeypatch.setattr(resolve, "fingerprint_instance",
+                            lambda _instance: stolen)
+        result, info = cache_lookup(cache, other)
+        assert result is None and info["evicted"] is True
+        assert sat_calls == [base.name, other.name]
+        assert cache.get(stolen.digest) is None
+
+    def test_mapping_that_is_not_injective_goes_to_sat(
+            self, kind, monkeypatch):
+        base, _other, sat_calls, valid = kind
+        cache = _stored(base)
+        assert cache_lookup(cache, base)[1]["proof"] == "sat"
+        copy, _pi = permuted_copy(base, 1)
+        real = fingerprint_instance(copy)
+        # An extra key shares a canonical id with a real variable; it
+        # comes first, so the inverse (later keys win) is unchanged.
+        shared = next(iter(real.mapping.values()))
+        mapping = {max(real.mapping) + 1: shared}
+        mapping.update(real.mapping)
+        monkeypatch.setattr(
+            resolve, "fingerprint_instance",
+            lambda _instance: Fingerprint(real.digest, mapping))
+        result, info = cache_lookup(cache, copy)
+        assert info["proof"] == "sat"
+        assert valid(copy, result)
+        assert sat_calls == [base.name, copy.name]
+
+    def test_fresh_cache_over_same_path_proves_first_hit_by_sat(
+            self, kind, tmp_path):
+        base, _other, sat_calls, valid = kind
+        path = str(tmp_path / "cache.jsonl")
+        first = _stored(base, path)
+        copy, _pi = permuted_copy(base, 1)
+        assert cache_lookup(first, copy)[1]["proof"] == "sat"
+        assert cache_lookup(first, copy)[1]["proof"] == "renaming"
+        reloaded = SolutionCache(path)
+        proofs = []
+        for seed in (2, 3):
+            copy, _pi = permuted_copy(base, seed)
+            result, info = cache_lookup(reloaded, copy)
+            proofs.append(info["proof"])
+            assert valid(copy, result)
+        assert proofs == ["sat", "renaming"]
+        assert len(sat_calls) == 2
 
 
 class TestStoreBack:

@@ -130,13 +130,19 @@ class TestCampaign:
         path = str(tmp_path / "cache.jsonl")
         run_campaign(instances, ["manthan3"], timeout=60, seed=7,
                      solution_cache=path)
-        cached = run_campaign([planted(31)], ["manthan3"], timeout=60,
-                              seed=7, solution_cache=path)
+        # A fresh process-side cache proves its first hit by SAT; the
+        # renamed copy of the same instance is then proven by renaming.
+        cached = run_campaign([planted(31),
+                               permuted_copy(planted(31), 0)[0]],
+                              ["manthan3"], timeout=60, seed=7,
+                              solution_cache=path)
         summary = cache_summary(cached)
-        assert summary["hits"] == 1 and summary["misses"] == 0
+        assert summary["hits"] == 2 and summary["misses"] == 0
+        assert summary["proved"] == {"sat": 1, "renaming": 1}
         report = "\n".join(render_report(cached))
         assert "-- solution cache --" in report
-        assert "hits / misses:     1 / 0" in report
+        assert "hits / misses:     2 / 0" in report
+        assert "hits proved by:    SAT 1 / renaming 1" in report
 
 
 class TestElastic:

@@ -354,6 +354,20 @@ class TestPipelineComposition:
         for name in names:
             assert make_engine(name, seed=0).pipeline.phases, name
 
+    def test_engine_refuses_a_first_phase_with_a_prerequisite(self):
+        """``Manthan3.run`` builds a fresh context, so unlike
+        ``Pipeline.execute`` on a prepared one it has nothing for a
+        first ``learn``/``order``/``verify_repair`` phase to read."""
+        for phases, missing in [
+                (("learn", "order", "verify_repair"), "sample"),
+                (("order", "verify_repair"), "learn"),
+                (("verify_repair",), "order")]:
+            with pytest.raises(ReproError,
+                               match="needs phase %r" % missing):
+                Manthan3(phases=phases)
+            # the bare pipeline still accepts it for a prepared context
+            assert Pipeline(phases).phases[0].name == phases[0]
+
     def test_ablated_pipeline_synthesizes(self):
         """The preprocessing-free phase list still solves instances —
         preprocessing is an accelerator, not a soundness requirement."""
