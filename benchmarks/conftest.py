@@ -27,7 +27,7 @@ import os
 import pytest
 
 from repro.benchgen import build_suite
-from repro.portfolio import CampaignStore, run_portfolio
+from repro.portfolio import CampaignStore, run_campaign
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -70,12 +70,12 @@ def campaign(campaign_config):
                         seed=campaign_config["seed"])
     os.makedirs(RESULTS_DIR, exist_ok=True)
     store = CampaignStore(os.path.join(RESULTS_DIR, "campaign.jsonl"))
-    return run_portfolio(suite, ENGINES,
-                         timeout=campaign_config["timeout"],
-                         jobs=campaign_config["jobs"],
-                         seed=campaign_config["seed"],
-                         store=store,
-                         resume=campaign_config["resume"])
+    return run_campaign(suite, ENGINES,
+                        timeout=campaign_config["timeout"],
+                        jobs=campaign_config["jobs"],
+                        seed=campaign_config["seed"],
+                        store=store,
+                        resume=campaign_config["resume"])
 
 
 def write_result(filename, lines):

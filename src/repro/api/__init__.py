@@ -6,8 +6,9 @@ shares this façade instead of reaching into internals:
 * :class:`Problem` — ingest DQDIMACS/QDIMACS text, files, or in-memory
   instances, with content-based format detection;
 * :class:`Solver` — a reusable handle built from an engine-spec name or
-  an explicit phase list + config overrides; ``solve()`` in-process,
-  ``solve_batch()`` over the portfolio worker pool;
+  an explicit phase list + config overrides; ``solve()`` runs it
+  in-process, and :func:`solve_batch` runs several solvers on many
+  problems over the portfolio worker pool;
 * :class:`Solution` — results with first-class exports (Verilog, AIGER,
   compiled Python callables), independent certification, and a
   certificate round-trip through the exported artifact;

@@ -86,7 +86,7 @@ class Solution:
     ``partial_verified``) are mirrored as properties.
 
     ``certified`` is the portfolio runner's tri-state verdict when the
-    solution came out of :meth:`~repro.api.Solver.solve_batch` with
+    solution came out of :func:`~repro.api.solve_batch` with
     certification on (``True`` checked-valid / ``False`` refuted /
     ``None`` unchecked); in-process :meth:`~repro.api.Solver.solve`
     leaves it ``None`` — call :meth:`certify` explicitly.

@@ -7,9 +7,10 @@ solves:
 
 * :meth:`Solver.solve` runs one problem in-process and returns a
   :class:`~repro.api.solution.Solution`;
-* :meth:`Solver.solve_batch` fans many problems over the portfolio
-  worker pool (process isolation, hard timeouts, worker-side
-  certification, resumable stores) and returns a :class:`BatchResult`;
+* :func:`solve_batch` fans many problems over the portfolio worker
+  pool for one or more solvers (process isolation, hard timeouts,
+  worker-side certification, resumable stores) and returns a
+  :class:`BatchResult`;
 * :meth:`Solver.subscribe` attaches typed-event listeners
   (:mod:`repro.api.events`) that observe both paths — in-process
   directly, and over the worker IPC pipe for batches, where each
@@ -18,9 +19,7 @@ solves:
   ``solve`` at the next phase boundary (partial-bearing ``CANCELLED``
   result) and ``solve_batch`` at job granularity.
 
-Module-level :func:`solve` and :func:`solve_batch` are the one-shot
-conveniences; multi-engine campaigns pass several solvers to
-:func:`solve_batch`.
+Module-level :func:`solve` is the one-shot convenience.
 """
 
 from repro.api.problem import Problem
@@ -44,7 +43,7 @@ class Solver:
         :func:`repro.portfolio.engine_names`), or any object with
         ``name`` and ``run(instance, timeout)`` to wrap directly.
     seed:
-        RNG seed baked into the engine.  For :meth:`solve_batch` a
+        RNG seed baked into the engine.  For :func:`solve_batch` a
         solver with ``seed=None`` and no customization is passed to the
         pool *by name*, which enables the campaign-level deterministic
         per-job seeding (identical results for any ``jobs`` value).
@@ -180,33 +179,6 @@ class Solver:
             result.stats["cache"] = cache_info
         return Solution(problem, result, engine=self.name)
 
-    def solve_batch(self, problems, timeout=None, jobs=1, seed=None,
-                    certify=True, certificate_budget=200_000, store=None,
-                    resume=False, progress=None, cancel=None,
-                    max_retries=0, retry_backoff=0.25,
-                    memory_limit_mb=None, elastic=False, worker_id=None,
-                    lease_duration=30.0, solution_cache=None):
-        """Solve many problems through the portfolio pool.
-
-        Delegates to :func:`solve_batch` with this solver alone, so the
-        returned :class:`BatchResult`'s ``solutions`` list aligns with
-        ``problems``.  ``seed`` is the campaign seed for per-job
-        seeding (defaults to this solver's own seed).
-        ``solution_cache`` defaults to this solver's own ``cache``.
-        """
-        return solve_batch(problems, [self], timeout=timeout, jobs=jobs,
-                           seed=self.seed if seed is None else seed,
-                           certify=certify,
-                           certificate_budget=certificate_budget,
-                           store=store, resume=resume, progress=progress,
-                           cancel=cancel, max_retries=max_retries,
-                           retry_backoff=retry_backoff,
-                           memory_limit_mb=memory_limit_mb,
-                           elastic=elastic, worker_id=worker_id,
-                           lease_duration=lease_duration,
-                           solution_cache=self.cache
-                           if solution_cache is None else solution_cache)
-
     def _portfolio_entry(self):
         """What to hand the campaign scheduler for this solver.
 
@@ -299,11 +271,9 @@ def solve(problem, engine="manthan3", seed=None, timeout=None,
 
 
 def solve_batch(problems, solvers, timeout=None, jobs=1, seed=None,
-                certify=True, certificate_budget=200_000, store=None,
-                resume=False, progress=None, cancel=None,
-                max_retries=0, retry_backoff=0.25,
-                memory_limit_mb=None, elastic=False, worker_id=None,
-                lease_duration=30.0, solution_cache=None):
+                certify=True, store=None, resume=False, progress=None,
+                cancel=None, max_retries=0, retry_backoff=0.25,
+                memory_limit_mb=None, solution_cache=None):
     """Run every solver on every problem through the portfolio pool.
 
     The scheduling, isolation, certification, persistence and resume
@@ -329,18 +299,9 @@ def solve_batch(problems, solvers, timeout=None, jobs=1, seed=None,
     without a cache (and are stamped with their ``stats["cache"]``
     block), and decisive cold outcomes are stored back.
 
-    ``elastic=True`` joins (or starts) a shared multi-worker campaign
-    instead of running a private pool: this process becomes one
-    :class:`~repro.portfolio.elastic.ElasticWorker` identified by
-    ``worker_id``, claiming jobs through the lease log next to
-    ``store`` (required) and cooperating with any other workers on the
-    same store — see :mod:`repro.portfolio.elastic`.  Elastic
-    campaigns need registry-pure solvers (plain engine names, no
-    seed/overrides/custom names): every worker must be able to rebuild
-    each engine from the shared log alone.  ``cancel`` maps to a
-    graceful drain, and the returned table is the merged campaign
-    (complete when this worker saw it finish; its records come from
-    disk, so their solutions carry no function vectors).
+    Elastic multi-worker campaigns do not go through here: start them
+    with ``repro run-suite --elastic`` or
+    :class:`~repro.portfolio.elastic.ElasticWorker`.
     """
     from repro.portfolio.parallel import run_campaign
 
@@ -350,11 +311,7 @@ def solve_batch(problems, solvers, timeout=None, jobs=1, seed=None,
         raise ReproError("problems must have unique names for batch "
                          "solving (records are keyed by name; "
                          "duplicate in %r)" % names)
-    solvers = list(solvers)
-    if isinstance(solvers[0] if solvers else None, str) \
-            or any(isinstance(s, str) for s in solvers):
-        solvers = [Solver(s) if isinstance(s, str) else s
-                   for s in solvers]
+    solvers = [Solver(s) if isinstance(s, str) else s for s in solvers]
     solver_names = [s.name for s in solvers]
     if len(set(solver_names)) != len(solver_names):
         raise ReproError("solvers must have unique names (duplicate in "
@@ -375,42 +332,10 @@ def solve_batch(problems, solvers, timeout=None, jobs=1, seed=None,
                     except Exception:
                         pass  # observation must not sink the campaign
 
-    if elastic:
-        from repro.portfolio.elastic import run_elastic_worker
-        from repro.portfolio.store import CampaignStore
-
-        if store is None:
-            raise ReproError("elastic campaigns need a shared store "
-                             "(pass store=)")
-        entries = [s._portfolio_entry() for s in solvers]
-        impure = [s.name for s, entry in zip(solvers, entries)
-                  if not isinstance(entry, str)]
-        if impure:
-            raise ReproError(
-                "elastic campaigns need registry-pure solvers (plain "
-                "engine names, no seed/overrides/custom names) so "
-                "every worker can rebuild them; offending: %r" % impure)
-        store_path = store.path if isinstance(store, CampaignStore) \
-            else store
-        summary = run_elastic_worker(
-            [p.instance for p in problems], entries, store_path,
-            worker_id=worker_id, timeout=timeout, seed=seed,
-            certify=certify, certificate_budget=certificate_budget,
-            lease_duration=lease_duration, progress=progress,
-            event_sink=event_sink, cancel=cancel,
-            solution_cache=solution_cache)
-        table = summary["table"]
-        if table is None:  # drained before completion: partial view
-            from repro.portfolio.elastic import merge_shards
-
-            table = merge_shards(store_path, write=False)
-        return BatchResult(problems, solvers, table)
-
     table = run_campaign(
         [p.instance for p in problems],
         [s._portfolio_entry() for s in solvers],
-        timeout=timeout, certify=certify,
-        certificate_budget=certificate_budget, jobs=jobs, seed=seed,
+        timeout=timeout, certify=certify, jobs=jobs, seed=seed,
         store=store, resume=resume, progress=progress,
         event_sink=event_sink, cancel=cancel, keep_results=True,
         max_retries=max_retries, retry_backoff=retry_backoff,

@@ -40,6 +40,7 @@ from repro.cache.fingerprint import fingerprint_instance, remap_functions
 from repro.cache.store import SolutionCache
 from repro.core.result import Status, SynthesisResult
 from repro.dqbf.certificates import (
+    CERTIFICATE_BUDGET,
     check_false_witness,
     check_henkin_vector_incremental,
 )
@@ -75,7 +76,7 @@ def _image(instance, mapping):
                       for clause in instance.matrix))
 
 
-def cache_lookup(cache, instance, certificate_budget=200_000):
+def cache_lookup(cache, instance):
     """Consult ``cache`` for ``instance``; returns ``(result, info)``.
 
     ``result`` is a :class:`SynthesisResult` proven for ``instance`` on
@@ -84,7 +85,8 @@ def cache_lookup(cache, instance, certificate_budget=200_000):
     or ``None`` on a miss.  ``info`` is the ``stats["cache"]`` block
     either way (hits carry ``proof``; misses carry ``hit: False`` so
     cold records are attributable too, plus ``evicted: True`` when a
-    poisoned entry was just dropped).
+    poisoned entry was just dropped).  The SAT check runs under
+    :data:`~repro.dqbf.certificates.CERTIFICATE_BUDGET` conflicts.
     """
     started = time.perf_counter()
     fingerprint = fingerprint_instance(instance)
@@ -110,7 +112,7 @@ def cache_lookup(cache, instance, certificate_budget=200_000):
         if image is not None and image == entry.proven:
             proof = "renaming"
         elif check(instance, solution,
-                   conflict_budget=certificate_budget).valid:
+                   conflict_budget=CERTIFICATE_BUDGET).valid:
             entry.proven = image
             proof = "sat"
         else:

@@ -238,7 +238,7 @@ def cmd_bench(args):
     return 0
 
 
-def _run_elastic_worker(args, names, suite):
+def _run_elastic(args, names, suite):
     """``run-suite --elastic``: join a shared multi-worker campaign as
     one lease-claiming worker (see :mod:`repro.portfolio.elastic`)."""
     import signal
@@ -296,7 +296,7 @@ def cmd_run_suite(args):
                 "--elastic workers run registry engines as published "
                 "(other workers must build identical engines); "
                 "--sat-backend is not supported")
-        return _run_elastic_worker(args, names, suite)
+        return _run_elastic(args, names, suite)
 
     solvers = [_make_solver(name,
                             sat_backend=args.sat_backend

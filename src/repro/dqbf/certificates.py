@@ -15,6 +15,14 @@ from repro.formula.cnf import CNF
 from repro.formula.tseitin import TseitinEncoder, negated_cnf_expr
 from repro.sat.solver import Solver, SAT, UNSAT
 
+#: Conflict budget of every certification SAT call a campaign makes:
+#: the claim of each campaign record
+#: (:func:`repro.portfolio.runner.evaluate_run`) and each solution-cache
+#: hit (:func:`repro.cache.resolve.cache_lookup`).  A check that runs
+#: out of budget fails like a refuted one: the record becomes
+#: ``INVALID`` and the cache entry is evicted.
+CERTIFICATE_BUDGET = 200_000
+
 
 class CertificateResult:
     """Outcome of a certificate check.

@@ -6,68 +6,26 @@ dependency sets are nested.  The paper's framing (§2): Henkin synthesis
 generalizes Skolem synthesis, which is the 2-QBF ``∀X∃Y`` case.
 """
 
-from repro.dqbf.instance import DQBFInstance
-from repro.formula.cnf import CNF
+from repro.parsing.dqdimacs import parse_dqdimacs
 from repro.utils.errors import ParseError
 
 
 def parse_qdimacs(text, name=None):
     """Parse QDIMACS text into a :class:`DQBFInstance`.
 
-    Only formulas with a leading universal or purely existential prefix
-    make sense for synthesis; an outermost existential block is treated as
-    a zero-dependency Henkin block (QBFEval convention).
+    QDIMACS is DQDIMACS without ``d`` lines, so the DQDIMACS parser
+    does the work (and its checks: one header, the prefix before the
+    first clause, variables within the header's count, integer tokens);
+    a ``d`` line is refused.  Only formulas with a leading universal or
+    purely existential prefix make sense for synthesis; an outermost
+    existential block is treated as a zero-dependency Henkin block
+    (QBFEval convention).
     """
-    num_vars = None
-    universals = []
-    dependencies = {}
-    clauses = []
-    header_seen = False
-    num_clauses = None
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                raise ParseError("malformed header %r" % line, line_no)
-            num_vars, num_clauses = int(tokens[2]), int(tokens[3])
-            header_seen = True
-            continue
-        if not header_seen:
-            raise ParseError("content before header", line_no)
-        if tokens[0] in ("a", "e"):
-            body = [int(t) for t in tokens[1:]]
-            if not body or body[-1] != 0:
-                raise ParseError("quantifier line must end with 0", line_no)
-            for v in body[:-1]:
-                if v <= 0 or v > num_vars:
-                    raise ParseError("variable %d out of range" % v, line_no)
-                if v in dependencies or v in universals:
-                    raise ParseError("variable %d declared twice" % v,
-                                     line_no)
-                if tokens[0] == "a":
-                    universals.append(v)
-                else:
-                    dependencies[v] = list(universals)
-            continue
-        lits = [int(t) for t in tokens]
-        if not lits or lits[-1] != 0:
-            raise ParseError("clause must end with 0", line_no)
-        clauses.append(lits[:-1])
-
-    if not header_seen:
-        raise ParseError("missing 'p cnf' header")
-    if num_clauses is not None and len(clauses) != num_clauses:
-        raise ParseError("header promises %d clauses, found %d"
-                         % (num_clauses, len(clauses)))
-    matrix = CNF(clauses, num_vars=num_vars)
-    declared = set(universals) | set(dependencies)
-    for v in sorted(matrix.variables() - declared):
-        dependencies[v] = []
-    return DQBFInstance(universals, dependencies, matrix, name=name)
+        if raw.split()[:1] == ["d"]:
+            raise ParseError("'d' line in QDIMACS input (a DQDIMACS "
+                             "construct)", line_no)
+    return parse_dqdimacs(text, name=name)
 
 
 def write_qdimacs(instance, comment=None):

@@ -14,11 +14,7 @@ JSONL record stream that round-trips back into a
 :class:`~repro.portfolio.runner.ResultTable`).
 """
 
-from repro.portfolio.elastic import (
-    ElasticWorker,
-    merge_shards,
-    run_elastic_worker,
-)
+from repro.portfolio.elastic import ElasticWorker, merge_shards
 from repro.portfolio.leases import LeaseLog, lease_log_path
 from repro.portfolio.parallel import (
     ENGINE_SPECS,
@@ -28,17 +24,11 @@ from repro.portfolio.parallel import (
     RaceEngineSpec,
     derive_job_seed,
     engine_names,
-    make_engine,
     resolve_engine_spec,
     run_campaign,
 )
 from repro.portfolio.racing import RacingEngine
-from repro.portfolio.runner import (
-    ResultTable,
-    RunRecord,
-    evaluate_run,
-    run_portfolio,
-)
+from repro.portfolio.runner import ResultTable, RunRecord, evaluate_run
 from repro.portfolio.store import CampaignStore
 from repro.portfolio.vbs import (
     vbs_times,
@@ -54,7 +44,6 @@ from repro.portfolio.vbs import (
 __all__ = [
     "RunRecord",
     "ResultTable",
-    "run_portfolio",
     "run_campaign",
     "evaluate_run",
     "CampaignStore",
@@ -65,11 +54,9 @@ __all__ = [
     "RaceEngineSpec",
     "RacingEngine",
     "engine_names",
-    "make_engine",
     "resolve_engine_spec",
     "derive_job_seed",
     "ElasticWorker",
-    "run_elastic_worker",
     "merge_shards",
     "LeaseLog",
     "lease_log_path",

@@ -46,6 +46,7 @@ import threading
 import time
 from glob import glob
 
+from repro.api.cancellation import CancellationToken
 from repro.cache import cache_lookup, cache_store, ensure_cache
 from repro.core.result import Status
 from repro.portfolio.leases import (
@@ -60,7 +61,7 @@ from repro.portfolio.parallel import (
     resolve_engine_spec,
     stamp_worker_identity,
 )
-from repro.portfolio.runner import ResultTable, RunRecord
+from repro.portfolio.runner import ResultTable
 from repro.portfolio.store import (
     FORMAT_VERSION,
     CampaignStore,
@@ -70,7 +71,7 @@ from repro.utils.errors import ReproError
 
 #: Seconds an idle worker waits before re-reading the lease log when
 #: every remaining job is leased to someone else.
-DEFAULT_POLL_INTERVAL = 0.25
+POLL_INTERVAL = 0.25
 
 
 def _safe_worker_id(worker_id):
@@ -112,15 +113,16 @@ class ElasticWorker:
         Registry names (strings) only — including ``race:`` groups.
         Engine *objects* cannot join an elastic campaign: every worker
         must be able to rebuild the engine from the shared log alone.
-    ``lease_duration`` / ``heartbeat``
-        Lease validity window and renewal period (default
-        ``duration / 3``): a worker must miss several heartbeats
-        before its job is reclaimed.
+    ``lease_duration``
+        Lease validity window; the lease is renewed every
+        ``lease_duration / HEARTBEAT_FRACTION`` seconds, so a worker
+        must miss several heartbeats before its job is reclaimed.
     ``drain_mode``
         ``"release"`` (default): SIGTERM cancels the in-flight solve
         cooperatively and releases the lease.  ``"finish"``: the
         in-flight job runs to completion first.  Either way no lease
-        is ever abandoned to silent expiry.
+        is ever abandoned to silent expiry.  :meth:`request_drain` is
+        the drain path (the CLI wires it to SIGTERM).
     ``merge_on_complete``
         When this worker observes the campaign complete, fold every
         shard into the canonical store (atomic and idempotent — safe
@@ -138,10 +140,8 @@ class ElasticWorker:
 
     def __init__(self, instances, engines, store, worker_id=None,
                  timeout=None, seed=None, certify=True,
-                 certificate_budget=200_000,
-                 lease_duration=DEFAULT_LEASE_DURATION, heartbeat=None,
-                 drain_mode="release", progress=None, event_sink=None,
-                 cancel=None, poll_interval=DEFAULT_POLL_INTERVAL,
+                 lease_duration=DEFAULT_LEASE_DURATION,
+                 drain_mode="release", progress=None,
                  merge_on_complete=True, solution_cache=None):
         self.store_path = store.path if isinstance(store, CampaignStore) \
             else store
@@ -162,14 +162,9 @@ class ElasticWorker:
         self.timeout = timeout
         self.seed = seed
         self.certify = certify
-        self.certificate_budget = certificate_budget
         self.lease_duration = lease_duration
-        self.heartbeat = heartbeat or lease_duration / HEARTBEAT_FRACTION
         self.drain_mode = drain_mode
         self.progress = progress
-        self.event_sink = event_sink
-        self.cancel = cancel
-        self.poll_interval = poll_interval
         self.merge_on_complete = merge_on_complete
         self.cache = ensure_cache(solution_cache)
         self.log = LeaseLog(lease_log_path(self.store_path))
@@ -191,12 +186,7 @@ class ElasticWorker:
 
     @property
     def draining(self):
-        if self._drain.is_set():
-            return True
-        if self.cancel is not None and self.cancel.cancelled:
-            self.request_drain()
-            return True
-        return False
+        return self._drain.is_set()
 
     # ------------------------------------------------------------------
     # main loop
@@ -204,8 +194,6 @@ class ElasticWorker:
     def run(self):
         """Claim-execute-complete until the campaign is done or this
         worker drains.  Returns a summary dict (see below)."""
-        from repro.api.cancellation import CancellationToken
-
         meta = {"timeout": self.timeout, "seed": self.seed,
                 "certify": self.certify}
         self.log.ensure_meta(meta)
@@ -249,7 +237,7 @@ class ElasticWorker:
                     summary["complete"] = True
                     break
                 if target is None:  # all open jobs leased elsewhere
-                    time.sleep(self.poll_interval)
+                    time.sleep(POLL_INTERVAL)
                     continue
                 if not self.log.claim(target, self.worker_id,
                                       self.lease_duration, now=now):
@@ -265,47 +253,32 @@ class ElasticWorker:
                     summary["recovered"] += 1
                     continue
 
-                cache_info = None
+                instance = by_pair[target]
+                hit = cache_info = None
                 if self.cache is not None:
                     # Consult the cache under the freshly held lease:
-                    # a proven hit publishes immediately and the
-                    # solve never runs.
-                    hit, cache_info = cache_lookup(
-                        self.cache, by_pair[target],
-                        certificate_budget=self.certificate_budget)
-                    if hit is not None:
-                        record = RunRecord(
-                            target[0], target[1], hit.status,
-                            hit.stats.get("wall_time", 0.0),
-                            reason=hit.reason, certified=True,
-                            stats=dict(hit.stats))
-                        stamp_worker_identity(record, self.worker_id)
-                        shard.append(record)
-                        own_records[target] = record
-                        self.log.complete(target, self.worker_id)
-                        summary["cache_hits"] += 1
-                        summary["executed"] += 1
-                        if self.progress is not None:
-                            self.progress(record)
-                        continue
+                    # a proven hit becomes the record and the solve
+                    # never runs.
+                    hit, cache_info = cache_lookup(self.cache, instance)
 
                 token = CancellationToken()
                 self._current_cancel = token
                 if self.draining and self.drain_mode == "release":
                     token.cancel()
-                record = self._run_job(target, by_pair[target], token)
+                record = self._run_job(target, instance, token, hit)
                 self._current_cancel = None
                 if record.status == Status.CANCELLED:
                     # drained mid-solve: hand the job back explicitly
                     self.log.release(target, self.worker_id)
                     summary["released"] += 1
                     break
-                if cache_info is not None:
+                if hit is not None:
+                    summary["cache_hits"] += 1
+                elif cache_info is not None:
                     record.stats.setdefault("cache", dict(cache_info))
-                if self.cache is not None and record.result is not None \
-                        and record.certified is not False:
-                    cache_store(self.cache, by_pair[target],
-                                record.result)
+                    if record.result is not None \
+                            and record.certified is not False:
+                        cache_store(self.cache, instance, record.result)
                 record.result = None  # kept only for the store-back
                 stamp_worker_identity(record, self.worker_id)
                 shard.append(record)
@@ -328,22 +301,17 @@ class ElasticWorker:
                                             pairs=pairs)
         return summary
 
-    def _run_job(self, pair, instance, token):
+    def _run_job(self, pair, instance, token, hit):
         """Execute one claimed job under a heartbeat thread."""
         engine_name = pair[0]
         spec = resolve_engine_spec(engine_name)
         job = _Job(index=0, engine_name=engine_name, engine=None,
                    instance=instance,
                    seed=spec.job_seed(self.seed, instance.name))
-        listener = None
-        if self.event_sink is not None:
-            def listener(event, _pair=pair):
-                self.event_sink(_pair[0], _pair[1], event)
-
         stop = threading.Event()
 
         def beat():
-            while not stop.wait(self.heartbeat):
+            while not stop.wait(self.lease_duration / HEARTBEAT_FRACTION):
                 try:
                     self.log.renew(pair, self.worker_id,
                                    self.lease_duration)
@@ -354,16 +322,8 @@ class ElasticWorker:
         heart.start()
         try:
             return _execute_job(job, self.timeout, self.certify,
-                                self.certificate_budget,
-                                listener=listener, cancel=token,
+                                cancel=token, hit=hit,
                                 keep_result=self.cache is not None)
-        except MemoryError:
-            return RunRecord(engine_name, instance.name, Status.UNKNOWN,
-                             0.0, reason="worker out of memory",
-                             stats={"oom": True})
-        except Exception as exc:  # engine bug: record, keep draining
-            return RunRecord(engine_name, instance.name, Status.UNKNOWN,
-                             0.0, reason="worker error: %r" % (exc,))
         finally:
             stop.set()
             heart.join()
@@ -371,11 +331,6 @@ class ElasticWorker:
     def __repr__(self):
         return "ElasticWorker(%r, store=%r)" % (self.worker_id,
                                                 self.store_path)
-
-
-def run_elastic_worker(instances, engines, store, **kwargs):
-    """Build an :class:`ElasticWorker`, run it, return its summary."""
-    return ElasticWorker(instances, engines, store, **kwargs).run()
 
 
 def merge_shards(store_path, pairs=None, write=True):

@@ -10,7 +10,8 @@ pool:
 * **Hard timeouts** — the worker passes the budget to the engine's
   cooperative :class:`~repro.utils.timer.Deadline`; if the engine fails
   to unwind (stuck in a tight SAT inner loop), the parent kills the
-  worker ``kill_grace`` seconds past the budget and records ``TIMEOUT``.
+  worker :data:`KILL_GRACE` seconds past the budget and records
+  ``TIMEOUT``.
 * **Deterministic seeding** — engines named by string are built fresh
   in the worker with :func:`derive_job_seed`, a pure function of
   (campaign seed, engine, instance).  Results are therefore identical
@@ -22,8 +23,7 @@ pool:
   each record streams to disk the moment it completes, and
   ``resume=True`` skips pairs the store already holds.
 
-:func:`run_campaign` is the orchestrator; ``run_portfolio`` in
-:mod:`repro.portfolio.runner` delegates here.
+:func:`run_campaign` is the orchestrator.
 """
 
 import multiprocessing
@@ -39,8 +39,9 @@ from repro.sat.backend import backend_available
 from repro.utils.errors import ReproError
 
 #: Seconds past the per-run budget before the parent kills a worker
-#: that failed to unwind cooperatively.
-DEFAULT_KILL_GRACE = 5.0
+#: that failed to unwind cooperatively (read at each check, so tests
+#: may lower it).
+KILL_GRACE = 5.0
 
 _POLL_INTERVAL = 0.05
 #: Seconds to wait for a dead worker's pipe to drain before declaring
@@ -160,9 +161,9 @@ def parse_race_members(name):
 def resolve_engine_spec(name):
     """Look up a registered spec, or construct a ``race:`` group spec.
 
-    The single resolution point behind :func:`make_engine`, the
-    :class:`~repro.api.Solver` façade, campaign scheduling, and the
-    CLI's engine validation.
+    The single resolution point behind the :class:`~repro.api.Solver`
+    façade, campaign scheduling, and the CLI's engine validation;
+    ``resolve_engine_spec(name).build(seed)`` builds the engine.
     """
     spec = ENGINE_SPECS.get(name)
     if spec is not None:
@@ -220,11 +221,6 @@ def engine_names():
     return sorted(ENGINE_SPECS)
 
 
-def make_engine(name, seed=None):
-    """Build a registered engine (or ``race:`` group) by name."""
-    return resolve_engine_spec(name).build(seed)
-
-
 def derive_job_seed(base_seed, engine_name, instance_name):
     """Deterministic per-job seed.
 
@@ -268,34 +264,60 @@ class _Job:
         self.lost_time = 0.0
 
 
-def _execute_job(job, timeout, certify, certificate_budget,
-                 listener=None, cancel=None, keep_result=False,
-                 engine_done=None):
-    """Run one job through the :mod:`repro.api` façade.
+def _execute_job(job, timeout, certify, listener=None, cancel=None,
+                 keep_result=False, engine_done=None, hit=None,
+                 memory_limit_mb=None):
+    """Run one job through the :mod:`repro.api` façade; return its
+    :class:`RunRecord`.
 
-    Both the serial scheduler and the pool workers execute here: the
-    engine is wrapped in (or rebuilt through) an
+    The serial scheduler, the pool workers and elastic workers all
+    execute here: the engine is wrapped in (or rebuilt through) an
     :class:`~repro.api.Solver`, ``listener`` observes the solve's typed
     event stream, and ``engine_done`` (if given) is invoked between the
     engine run and certification — the worker's kill-exemption marker.
+
+    ``hit`` is a proven solution-cache result for ``job.instance``: the
+    record is built from it and the engine never runs.  An engine that
+    raises yields an ``UNKNOWN`` record instead of sinking the campaign
+    — the same record whichever path ran it; ``memory_limit_mb`` only
+    names the ceiling in the out-of-memory reason.
     """
     from repro.api.problem import Problem
     from repro.api.solver import Solver
 
-    if job.engine is None:
-        solver = Solver(job.engine_name, seed=job.seed)
-    else:
-        solver = Solver(job.engine, name=job.engine_name)
-    if listener is not None:
-        solver.subscribe(listener)
-    solution = solver.solve(Problem.from_instance(job.instance),
-                            timeout=timeout, cancel=cancel)
-    if engine_done is not None:
-        engine_done()
-    return evaluate_run(job.engine_name, job.instance, solution.result,
-                        certify=certify,
-                        certificate_budget=certificate_budget,
-                        keep_result=keep_result)
+    if hit is not None:
+        return RunRecord(job.engine_name, job.instance.name, hit.status,
+                         hit.stats.get("wall_time", 0.0),
+                         reason=hit.reason, certified=True,
+                         stats=dict(hit.stats),
+                         result=hit if keep_result else None)
+    try:
+        if job.engine is None:
+            solver = Solver(job.engine_name, seed=job.seed)
+        else:
+            solver = Solver(job.engine, name=job.engine_name)
+        if listener is not None:
+            solver.subscribe(listener)
+        solution = solver.solve(Problem.from_instance(job.instance),
+                                timeout=timeout, cancel=cancel)
+        if engine_done is not None:
+            engine_done()
+        return evaluate_run(job.engine_name, job.instance,
+                            solution.result, certify=certify,
+                            keep_result=keep_result)
+    except MemoryError:
+        # A clean, final verdict — deliberately not retryable: the same
+        # job under the same ceiling would just OOM again.
+        return RunRecord(
+            job.engine_name, job.instance.name, Status.UNKNOWN, 0.0,
+            reason="worker out of memory"
+                   + (" (address-space ceiling %d MB)" % memory_limit_mb
+                      if memory_limit_mb is not None else ""),
+            stats={"oom": True})
+    except Exception as exc:  # engine bug: report, don't sink the campaign
+        return RunRecord(job.engine_name, job.instance.name,
+                         Status.UNKNOWN, 0.0,
+                         reason="worker error: %r" % (exc,))
 
 
 def stamp_worker_identity(record, worker_id=None):
@@ -347,33 +369,19 @@ def _apply_memory_limit(memory_limit_mb):
         pass
 
 
-def _worker_main(job, timeout, certify, certificate_budget, conn,
-                 relay_events=False, keep_result=False,
-                 memory_limit_mb=None):
+def _worker_main(job, timeout, certify, conn, relay_events=False,
+                 keep_result=False, memory_limit_mb=None):
     """Pool worker: run one job, send its record up the private pipe."""
     if memory_limit_mb is not None:
         _apply_memory_limit(memory_limit_mb)
-    try:
-        listener = None
-        if relay_events:
-            def listener(event):
-                conn.send((_EVENT_TAG, event))
-        record = _execute_job(job, timeout, certify, certificate_budget,
-                              listener=listener, keep_result=keep_result,
-                              engine_done=lambda: conn.send(_ENGINE_DONE))
-    except MemoryError:
-        # A clean, final verdict — deliberately not retryable: the same
-        # job under the same ceiling would just OOM again.
-        record = RunRecord(
-            job.engine_name, job.instance.name, Status.UNKNOWN, 0.0,
-            reason="worker out of memory"
-                   + (" (address-space ceiling %d MB)" % memory_limit_mb
-                      if memory_limit_mb is not None else ""),
-            stats={"oom": True})
-    except Exception as exc:  # engine bug: report, don't sink the pool
-        record = RunRecord(job.engine_name, job.instance.name,
-                           Status.UNKNOWN, 0.0,
-                           reason="worker error: %r" % (exc,))
+    listener = None
+    if relay_events:
+        def listener(event):
+            conn.send((_EVENT_TAG, event))
+    record = _execute_job(job, timeout, certify, listener=listener,
+                          keep_result=keep_result,
+                          engine_done=lambda: conn.send(_ENGINE_DONE),
+                          memory_limit_mb=memory_limit_mb)
     stamp_worker_identity(record)
     try:
         conn.send(record)
@@ -388,8 +396,8 @@ def _worker_main(job, timeout, certify, certificate_budget, conn,
 # ----------------------------------------------------------------------
 # schedulers
 # ----------------------------------------------------------------------
-def _run_serial(jobs, timeout, certify, certificate_budget, emit,
-                event_sink=None, cancel=None, keep_result=False):
+def _run_serial(jobs, timeout, certify, emit, event_sink=None,
+                cancel=None, keep_result=False):
     for job in jobs:
         if cancel is not None and cancel.cancelled:
             emit(job.index, _cancelled_record(job))
@@ -400,9 +408,8 @@ def _run_serial(jobs, timeout, certify, certificate_budget, emit,
                 event_sink(_job.engine_name, _job.instance.name, event)
         emit(job.index,
              stamp_worker_identity(
-                 _execute_job(job, timeout, certify, certificate_budget,
-                              listener=listener, cancel=cancel,
-                              keep_result=keep_result)))
+                 _execute_job(job, timeout, certify, listener=listener,
+                              cancel=cancel, keep_result=keep_result)))
 
 
 def _cancelled_record(job, started=False):
@@ -413,7 +420,7 @@ def _cancelled_record(job, started=False):
         stats={"cancelled": True})
 
 
-def _killed_record(job, timeout, kill_grace, elapsed):
+def _killed_record(job, timeout, elapsed):
     """TIMEOUT record for a hung worker the parent had to kill.
 
     ``time`` stays at the budget (the PAR-scoring convention for
@@ -425,7 +432,7 @@ def _killed_record(job, timeout, kill_grace, elapsed):
         job.engine_name, job.instance.name, Status.TIMEOUT,
         timeout or 0.0,
         reason="hung worker killed %.1fs past the %.1fs budget"
-               % (kill_grace, timeout or 0.0),
+               % (KILL_GRACE, timeout or 0.0),
         stats={"wall_time": round(elapsed, 6), "killed": True,
                "kill_reason": "hung"})
 
@@ -470,10 +477,9 @@ def _stamp(record, job):
                                 round(job.lost_time, 6))
 
 
-def _run_pool(jobs, timeout, certify, certificate_budget, num_workers,
-              kill_grace, emit, event_sink=None, cancel=None,
-              keep_result=False, max_retries=0, retry_backoff=0.25,
-              memory_limit_mb=None):
+def _run_pool(jobs, timeout, certify, num_workers, emit, event_sink=None,
+              cancel=None, keep_result=False, max_retries=0,
+              retry_backoff=0.25, memory_limit_mb=None):
     """Fan jobs over ``num_workers`` forked processes.
 
     Each worker reports over its own pipe (no shared queue, so killing
@@ -552,9 +558,9 @@ def _run_pool(jobs, timeout, certify, certificate_budget, num_workers,
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
                 process = ctx.Process(
                     target=_worker_main,
-                    args=(job, timeout, certify, certificate_budget,
-                          child_conn, event_sink is not None,
-                          keep_result, memory_limit_mb),
+                    args=(job, timeout, certify, child_conn,
+                          event_sink is not None, keep_result,
+                          memory_limit_mb),
                     daemon=True)
                 process.start()
                 child_conn.close()  # parent keeps only the read end
@@ -594,10 +600,10 @@ def _run_pool(jobs, timeout, certify, certificate_budget, num_workers,
                 # a (non-terminal) message: a runaway engine that keeps
                 # streaming events must not shield itself from the kill.
                 if timeout is not None and slot.kill_started is not None \
-                        and now - slot.kill_started > timeout + kill_grace:
+                        and now - slot.kill_started > timeout + KILL_GRACE:
                     process.terminate()
                     process.join()
-                    settle(index, _killed_record(job, timeout, kill_grace,
+                    settle(index, _killed_record(job, timeout,
                                                  now - slot.launched))
                     progressed = True
                 elif not process.is_alive():
@@ -628,12 +634,10 @@ def _run_pool(jobs, timeout, certify, certificate_budget, num_workers,
 # ----------------------------------------------------------------------
 # orchestrator
 # ----------------------------------------------------------------------
-def run_campaign(instances, engines, timeout=None, certify=True,
-                 certificate_budget=200_000, jobs=1, seed=None,
-                 store=None, resume=False, progress=None,
-                 kill_grace=DEFAULT_KILL_GRACE, event_sink=None,
-                 cancel=None, keep_results=False, max_retries=0,
-                 retry_backoff=0.25, memory_limit_mb=None,
+def run_campaign(instances, engines, timeout=None, certify=True, jobs=1,
+                 seed=None, store=None, resume=False, progress=None,
+                 event_sink=None, cancel=None, keep_results=False,
+                 max_retries=0, retry_backoff=0.25, memory_limit_mb=None,
                  solution_cache=None):
     """Run the full (engine × instance) campaign; return a ResultTable.
 
@@ -720,14 +724,13 @@ def run_campaign(instances, engines, timeout=None, certify=True,
             if all((name, instance.name) in done
                    for name, _engine, _spec in specs):
                 continue
-            hit, info = cache_lookup(
-                cache, instance, certificate_budget=certificate_budget)
+            hit, info = cache_lookup(cache, instance)
             cache_info[instance.name] = info
             if hit is not None:
                 cache_hits[instance.name] = hit
 
     jobs_list = []
-    hit_records = []  # (emit key, record) answered without a worker
+    hit_jobs = []  # (job, hit): answered without a worker
     slots = []  # (engine_name, instance_name) in canonical table order
     for instance in instances:
         for engine_name, engine, spec in specs:
@@ -735,23 +738,18 @@ def run_campaign(instances, engines, timeout=None, certify=True,
             slots.append(pair)
             if pair in done:
                 continue
-            hit = cache_hits.get(instance.name)
-            if hit is not None:
-                record = RunRecord(
-                    engine_name, instance.name, hit.status,
-                    hit.stats.get("wall_time", 0.0), reason=hit.reason,
-                    certified=True, stats=dict(hit.stats),
-                    result=hit if keep_results else None)
-                hit_records.append((("cache",) + pair,
-                                    stamp_worker_identity(record)))
-                continue
             job_seed = (spec.job_seed(seed, instance.name)
                         if spec is not None
                         else derive_job_seed(seed, engine_name,
                                              instance.name))
-            jobs_list.append(_Job(
-                index=len(jobs_list), engine_name=engine_name,
-                engine=engine, instance=instance, seed=job_seed))
+            job = _Job(index=len(jobs_list) + len(hit_jobs),
+                       engine_name=engine_name, engine=engine,
+                       instance=instance, seed=job_seed)
+            hit = cache_hits.get(instance.name)
+            if hit is not None:
+                hit_jobs.append((job, hit))
+            else:
+                jobs_list.append(job)
 
     executed = {}
     by_name = {instance.name: instance for instance in instances}
@@ -786,20 +784,20 @@ def run_campaign(instances, engines, timeout=None, certify=True,
     # extra .result attribute).
     keep = keep_results or cache is not None
     try:
-        for key, record in hit_records:
-            emit(key, record)
+        for job, hit in hit_jobs:
+            emit(job.index, stamp_worker_identity(_execute_job(
+                job, timeout, certify, keep_result=keep_results,
+                hit=hit)))
         if jobs_list:
             if jobs > 1:
-                _run_pool(jobs_list, timeout, certify,
-                          certificate_budget, jobs, kill_grace, emit,
+                _run_pool(jobs_list, timeout, certify, jobs, emit,
                           event_sink=event_sink, cancel=cancel,
                           keep_result=keep,
                           max_retries=max_retries,
                           retry_backoff=retry_backoff,
                           memory_limit_mb=memory_limit_mb)
             else:
-                _run_serial(jobs_list, timeout, certify,
-                            certificate_budget, emit,
+                _run_serial(jobs_list, timeout, certify, emit,
                             event_sink=event_sink, cancel=cancel,
                             keep_result=keep)
     finally:

@@ -6,16 +6,17 @@ certificate checker; a vector that fails certification is recorded as
 to cheat the evaluation).  ``FALSE`` claims that come with an
 inextensibility witness are re-checked the same way.
 
-:func:`run_portfolio` is the public entry point.  With ``jobs=1`` it
-runs in-process (the deterministic path unit tests rely on); with
-``jobs > 1`` it delegates to the process pool in
-:mod:`repro.portfolio.parallel`, and with ``store=`` it streams records
-to a resumable on-disk campaign
-(:class:`~repro.portfolio.store.CampaignStore`).
+:func:`evaluate_run` is that gate; campaigns
+(:mod:`repro.portfolio.parallel`, :mod:`repro.portfolio.elastic`)
+collect its records into a :class:`ResultTable`.
 """
 
 from repro.core.result import Status
-from repro.dqbf.certificates import check_false_witness, check_henkin_vector
+from repro.dqbf.certificates import (
+    CERTIFICATE_BUDGET,
+    check_false_witness,
+    check_henkin_vector,
+)
 
 
 class RunRecord:
@@ -124,11 +125,11 @@ class ResultTable:
 
 
 def evaluate_run(engine_name, instance, result, certify=True,
-                 certificate_budget=200_000, keep_result=False):
+                 keep_result=False):
     """Turn one engine :class:`SynthesisResult` into a :class:`RunRecord`.
 
-    This is the single certification gate shared by the sequential
-    runner and the pool workers (certification runs *in the worker*, so
+    This is the single certification gate shared by the serial, pool
+    and elastic campaign paths (certification runs *in the worker*, so
     the campaign parent only aggregates finished records):
 
     * ``SYNTHESIZED`` vectors are re-checked with
@@ -137,18 +138,21 @@ def evaluate_run(engine_name, instance, result, certify=True,
       re-checked with :func:`check_false_witness`;
     * a failed check rewrites the status to ``INVALID``.
 
+    Each check runs under
+    :data:`~repro.dqbf.certificates.CERTIFICATE_BUDGET` conflicts.
+
     ``keep_result=True`` attaches the full ``SynthesisResult`` to the
     record (see :class:`RunRecord`).
     """
     certified = None
     if certify and result.status == Status.SYNTHESIZED:
         cert = check_henkin_vector(instance, result.functions,
-                                   conflict_budget=certificate_budget)
+                                   conflict_budget=CERTIFICATE_BUDGET)
         certified = bool(cert.valid)
     elif certify and result.status == Status.FALSE \
             and result.witness is not None:
         cert = check_false_witness(instance, result.witness,
-                                   conflict_budget=certificate_budget)
+                                   conflict_budget=CERTIFICATE_BUDGET)
         certified = bool(cert.valid)
     return RunRecord(
         engine=engine_name,
@@ -161,60 +165,3 @@ def evaluate_run(engine_name, instance, result, certify=True,
         result=result if keep_result else None,
     )
 
-
-def run_portfolio(instances, engines, timeout=None, certify=True,
-                  certificate_budget=200_000, progress=None, jobs=1,
-                  seed=None, store=None, resume=False, max_retries=0,
-                  retry_backoff=0.25, memory_limit_mb=None):
-    """Run every engine on every instance.
-
-    Parameters
-    ----------
-    instances:
-        Iterable of :class:`~repro.dqbf.instance.DQBFInstance`.
-    engines:
-        Iterable of engine objects exposing ``name`` and
-        ``run(instance, timeout)``, or engine *names* (strings) resolved
-        through :data:`repro.portfolio.parallel.ENGINE_SPECS` — names
-        get a fresh engine per job with a deterministic per-job seed, so
-        results are identical for any ``jobs`` value.
-    timeout:
-        Per-run wall-clock budget in seconds.
-    certify:
-        Re-check every claimed vector/witness with the independent
-        checker.
-    certificate_budget:
-        Conflict budget for certification SAT calls.
-    progress:
-        Optional callback ``(record) -> None``, invoked once per
-        *executed* run (resumed records are loaded silently).
-    jobs:
-        Worker processes; ``1`` runs in-process.
-    seed:
-        Campaign seed for per-job seed derivation of name-specified
-        engines.
-    store:
-        Optional :class:`~repro.portfolio.store.CampaignStore` (or path)
-        that every record streams to as it completes.
-    resume:
-        Skip (engine, instance) pairs already present in ``store``.
-    max_retries / retry_backoff:
-        Pool-mode resilience: re-run a killed/crashed job up to
-        ``max_retries`` extra times with exponential backoff (see
-        :func:`repro.portfolio.parallel.run_campaign`).
-    memory_limit_mb:
-        Per-worker address-space ceiling; an OOM becomes a clean
-        UNKNOWN record instead of a crashed worker.
-
-    Returns a :class:`ResultTable`.
-    """
-    from repro.portfolio.parallel import run_campaign
-
-    return run_campaign(instances, engines, timeout=timeout,
-                        certify=certify,
-                        certificate_budget=certificate_budget,
-                        progress=progress, jobs=jobs, seed=seed,
-                        store=store, resume=resume,
-                        max_retries=max_retries,
-                        retry_backoff=retry_backoff,
-                        memory_limit_mb=memory_limit_mb)

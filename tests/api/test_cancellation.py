@@ -7,6 +7,7 @@ from repro.api import (
     PhaseFinished,
     Solver,
     Status,
+    solve_batch,
 )
 from repro.benchgen import generate_planted_instance
 
@@ -93,9 +94,9 @@ class TestBatchCancellation:
         def cancel_after_first(record):
             seen.append(record)
             token.cancel()
-        batch = solver.solve_batch(self._problems(), timeout=60, jobs=1,
-                                   seed=0, progress=cancel_after_first,
-                                   cancel=token)
+        batch = solve_batch(self._problems(), [solver], timeout=60,
+                            jobs=1, seed=0, progress=cancel_after_first,
+                            cancel=token)
         statuses = [s.status for s in batch.solutions]
         assert statuses[0] == Status.SYNTHESIZED
         assert all(s == Status.CANCELLED for s in statuses[1:])
@@ -106,17 +107,17 @@ class TestBatchCancellation:
         store = str(tmp_path / "campaign.jsonl")
         token = CancellationToken()
         solver = Solver("manthan3")
-        cancelled = solver.solve_batch(
-            self._problems(), timeout=60, jobs=1, seed=0, store=store,
-            progress=lambda _record: token.cancel(), cancel=token)
+        cancelled = solve_batch(
+            self._problems(), [solver], timeout=60, jobs=1, seed=0,
+            store=store, progress=lambda _record: token.cancel(),
+            cancel=token)
         skipped = [s for s in cancelled.solutions
                    if s.status == Status.CANCELLED]
         assert skipped  # the token really struck mid-campaign
         executed = []
-        resumed = solver.solve_batch(self._problems(), timeout=60,
-                                     jobs=1, seed=0, store=store,
-                                     resume=True,
-                                     progress=executed.append)
+        resumed = solve_batch(self._problems(), [solver], timeout=60,
+                              jobs=1, seed=0, store=store, resume=True,
+                              progress=executed.append)
         assert len(executed) == len(skipped)
         assert all(s.status == Status.SYNTHESIZED
                    for s in resumed.solutions)
@@ -125,8 +126,8 @@ class TestBatchCancellation:
         token = CancellationToken()
         token.cancel()  # cancel before any worker launches
         solver = Solver("manthan3")
-        batch = solver.solve_batch(self._problems(), timeout=60, jobs=2,
-                                   seed=0, cancel=token)
+        batch = solve_batch(self._problems(), [solver], timeout=60,
+                            jobs=2, seed=0, cancel=token)
         assert all(s.status == Status.CANCELLED
                    for s in batch.solutions)
         assert all(s.stats.get("cancelled")

@@ -8,6 +8,7 @@ from repro.api import (
     RepairRound,
     SolveFinished,
     Solver,
+    solve_batch,
 )
 from repro.benchgen import generate_pec_instance, generate_planted_instance
 from repro.core.events import Event
@@ -155,8 +156,8 @@ class TestBatchRelay:
             solver = Solver("manthan3")
             events = []
             solver.subscribe(events.append)
-            batch = solver.solve_batch(problems, timeout=60, jobs=jobs,
-                                       seed=0)
+            batch = solve_batch(problems, [solver], timeout=60,
+                                jobs=jobs, seed=0)
             assert all(s.synthesized for s in batch.solutions)
             finishes = [e for e in events
                         if isinstance(e, SolveFinished)]

@@ -10,7 +10,7 @@ from repro.benchgen import (
     generate_planted_instance,
 )
 from repro.core import Manthan3, Manthan3Config
-from repro.portfolio import make_engine, run_campaign
+from repro.portfolio import resolve_engine_spec, run_campaign
 from repro.portfolio.parallel import derive_job_seed
 from repro.utils.errors import ReproError
 
@@ -55,7 +55,7 @@ class TestSolveEquivalence:
         # pec: small enough for the expansion baseline too.
         inst = _suite()[4]
         for name in ("manthan3-emulated", "manthan3-nopre", "expansion"):
-            old = make_engine(name, 7).run(inst, timeout=60)
+            old = resolve_engine_spec(name).build(7).run(inst, timeout=60)
             new = Solver(name, seed=7).solve(inst, timeout=60)
             assert new.status == old.status, name
             assert _signature(new.functions) \
@@ -107,8 +107,7 @@ class TestBatchEquivalence:
                 # Functions: the façade record carries them; compare
                 # against a direct per-job-seeded engine rerun.
                 if new_rec.status == "SYNTHESIZED":
-                    rerun = make_engine(
-                        engine,
+                    rerun = resolve_engine_spec(engine).build(
                         derive_job_seed(3, engine, inst.name)).run(
                             inst, timeout=60)
                     assert _signature(new_rec.result.functions) \
@@ -117,8 +116,10 @@ class TestBatchEquivalence:
     def test_jobs_equivalence_through_the_facade(self):
         problems = _suite()[:3]
         solver = Solver("manthan3")
-        serial = solver.solve_batch(problems, timeout=60, jobs=1, seed=5)
-        pooled = solver.solve_batch(problems, timeout=60, jobs=2, seed=5)
+        serial = solve_batch(problems, [solver], timeout=60, jobs=1,
+                             seed=5)
+        pooled = solve_batch(problems, [solver], timeout=60, jobs=2,
+                             seed=5)
         for a, b in zip(serial.solutions, pooled.solutions):
             assert a.status == b.status
             assert a.certified == b.certified
@@ -135,8 +136,8 @@ class TestBatchResult:
         assert by_name.engine == "expansion"
         with pytest.raises(ReproError, match="use solution_for"):
             batch.solutions  # ambiguous with two solvers
-        single = Solver("manthan3").solve_batch(problems, timeout=60,
-                                                seed=0)
+        single = solve_batch(problems, [Solver("manthan3")], timeout=60,
+                             seed=0)
         assert [s.problem.name for s in single.solutions] \
             == [p.name for p in problems]
         assert all(s.functions for s in single.solutions
@@ -146,12 +147,12 @@ class TestBatchResult:
         problems = _suite()[:2]
         store = str(tmp_path / "campaign.jsonl")
         solver = Solver("manthan3")
-        first = solver.solve_batch(problems, timeout=60, seed=0,
-                                   store=store)
+        first = solve_batch(problems, [solver], timeout=60, seed=0,
+                            store=store)
         executed = []
-        again = solver.solve_batch(problems, timeout=60, seed=0,
-                                   store=store, resume=True,
-                                   progress=executed.append)
+        again = solve_batch(problems, [solver], timeout=60, seed=0,
+                            store=store, resume=True,
+                            progress=executed.append)
         assert executed == []  # everything resumed
         for a, b in zip(first.solutions, again.solutions):
             assert a.status == b.status
@@ -161,7 +162,7 @@ class TestBatchResult:
     def test_duplicate_names_rejected(self):
         problems = [_suite()[0], _suite()[0]]
         with pytest.raises(ReproError, match="unique names"):
-            Solver("manthan3").solve_batch(problems, timeout=5)
+            solve_batch(problems, [Solver("manthan3")], timeout=5)
         with pytest.raises(ReproError, match="unique names"):
             solve_batch([_suite()[0]],
                         [Solver("manthan3"), Solver("manthan3")],
@@ -172,7 +173,7 @@ class TestBatchResult:
         # records are keyed by name, so this must be a loud error.
         text = "p cnf 2 1\na 1 0\nd 2 1 0\n1 2 0\n"
         with pytest.raises(ReproError, match="unique names"):
-            Solver("expansion").solve_batch([text, text], timeout=10)
+            solve_batch([text, text], [Solver("expansion")], timeout=10)
 
 
 class TestSolverHandle:
@@ -242,7 +243,7 @@ class TestSolverHandle:
                                       solver=label).synthesized
 
     def test_solution_for_unknown_name_message(self):
-        batch = Solver("manthan3").solve_batch(_suite()[:1], timeout=60,
-                                               seed=0)
+        batch = solve_batch(_suite()[:1], [Solver("manthan3")],
+                            timeout=60, seed=0)
         with pytest.raises(ReproError, match="typo-name"):
             batch.solution_for("typo-name")

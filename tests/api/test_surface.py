@@ -49,12 +49,6 @@ FROZEN_SIGNATURES = {
         "(self, engine='manthan3', seed=None, phases=None, "
         "overrides=None, config=None, name=None, cache=None)",
     "Solver.solve": "(self, problem, timeout=None, cancel=None)",
-    "Solver.solve_batch":
-        "(self, problems, timeout=None, jobs=1, seed=None, "
-        "certify=True, certificate_budget=200000, store=None, "
-        "resume=False, progress=None, cancel=None, max_retries=0, "
-        "retry_backoff=0.25, memory_limit_mb=None, elastic=False, "
-        "worker_id=None, lease_duration=30.0, solution_cache=None)",
     "Solver.subscribe": "(self, listener)",
     "Solver.unsubscribe": "(self, listener)",
     "Solution.to_verilog": "(self, module_name='henkin_patch')",
@@ -68,10 +62,9 @@ FROZEN_SIGNATURES = {
         "listeners=None, cancel=None, **solver_kwargs)",
     "solve_batch":
         "(problems, solvers, timeout=None, jobs=1, seed=None, "
-        "certify=True, certificate_budget=200000, store=None, "
-        "resume=False, progress=None, cancel=None, max_retries=0, "
-        "retry_backoff=0.25, memory_limit_mb=None, elastic=False, "
-        "worker_id=None, lease_duration=30.0, solution_cache=None)",
+        "certify=True, store=None, resume=False, progress=None, "
+        "cancel=None, max_retries=0, retry_backoff=0.25, "
+        "memory_limit_mb=None, solution_cache=None)",
     "detect_format": "(text, path=None)",
 }
 

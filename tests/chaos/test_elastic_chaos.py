@@ -21,7 +21,6 @@ from repro.formula.cnf import CNF
 from repro.portfolio.elastic import (
     ElasticWorker,
     merge_shards,
-    run_elastic_worker,
     shard_path,
 )
 from repro.portfolio.leases import LeaseLog, lease_log_path
@@ -141,9 +140,9 @@ class TestSigkillConvergence:
         assert len(pairs) == len(set(pairs))
 
         # the reference: one undisturbed worker in a fresh directory
-        ref = run_elastic_worker(
+        ref = ElasticWorker(
             instances, engines, str(tmp_path / "ref.jsonl"),
-            worker_id="ref", timeout=10.0, seed=7)["table"]
+            worker_id="ref", timeout=10.0, seed=7).run()["table"]
         assert sorted((r.engine, r.instance, r.status)
                       for r in table.records) \
             == sorted((r.engine, r.instance, r.status)
@@ -221,9 +220,9 @@ class TestSigtermDrain:
                 assert record.status != Status.CANCELLED
 
         # a replacement finishes the campaign without reclaims
-        summary = run_elastic_worker(
+        summary = ElasticWorker(
             instances, engines, store, worker_id="w2", timeout=10.0,
-            seed=7, lease_duration=30.0)
+            seed=7, lease_duration=30.0).run()
         assert summary["complete"]
         assert summary["reclaimed"] == 0
         table = summary["table"]

@@ -18,6 +18,7 @@ from repro.core.result import Status, SynthesisResult
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
+from repro.portfolio import parallel
 from repro.portfolio.parallel import run_campaign
 from repro.portfolio.runner import RunRecord
 from repro.portfolio.store import CampaignStore
@@ -143,11 +144,12 @@ class TestRetries:
                 for r in clean.records]
         assert all(r.attempts == 1 for r in clean.records)
 
-    def test_hung_worker_killed_then_retried(self, tmp_path):
+    def test_hung_worker_killed_then_retried(self, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setattr(parallel, "KILL_GRACE", 0.2)
         engine = HangOnceEngine(str(tmp_path))
         table = run_campaign([tiny_instance("a")], [engine], timeout=0.2,
-                             jobs=2, kill_grace=0.2, max_retries=1,
-                             retry_backoff=0.01)
+                             jobs=2, max_retries=1, retry_backoff=0.01)
         record = table.record_for("hangonce", "a")
         assert record.status == Status.SYNTHESIZED
         assert record.attempts == 2

@@ -32,7 +32,7 @@ from repro.dqbf import check_henkin_vector
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
-from repro.portfolio import make_engine, run_campaign
+from repro.portfolio import resolve_engine_spec, run_campaign
 from repro.portfolio.parallel import derive_job_seed
 from repro.utils.errors import ReproError, ResourceBudgetExceeded
 from repro.utils.timer import Deadline
@@ -352,7 +352,7 @@ class TestPipelineComposition:
                  if isinstance(spec, PipelineEngineSpec)]
         assert "manthan3-nopre" in names
         for name in names:
-            assert make_engine(name, seed=0).pipeline.phases, name
+            assert resolve_engine_spec(name).build(0).pipeline.phases, name
 
     def test_engine_refuses_a_first_phase_with_a_prerequisite(self):
         """``Manthan3.run`` builds a fresh context, so unlike
@@ -373,7 +373,7 @@ class TestPipelineComposition:
         preprocessing is an accelerator, not a soundness requirement."""
         inst = make([1, 2], {3: [1, 2]},
                     [[-3, 1], [-3, 2], [3, -1, -2]])       # y ↔ x1 ∧ x2
-        engine = make_engine("manthan3-nopre", seed=4)
+        engine = resolve_engine_spec("manthan3-nopre").build(4)
         result = engine.run(inst, timeout=30)
         assert result.status == Status.SYNTHESIZED
         assert check_henkin_vector(inst, result.functions).valid
@@ -391,8 +391,8 @@ class TestEngineSpecs:
                                 "order", "verify_repair")
         noselfsub = ENGINE_SPECS["manthan3-noselfsub"]
         assert noselfsub.overrides == {"use_self_substitution": False}
-        assert make_engine("manthan3-noselfsub",
-                           seed=1).config.use_self_substitution is False
+        engine = resolve_engine_spec("manthan3-noselfsub").build(1)
+        assert engine.config.use_self_substitution is False
 
     def test_campaign_with_ablation_engines(self):
         suite = [generate_planted_instance(

@@ -38,6 +38,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_qdimacs("p cnf 1 2\n1 0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p cnf 2 1\ne 1 0\n1 5 0\n", "out of range"),
+        ("p cnf 3 1\na 1 0\n1 2 0\ne 2 0\n", "after first clause"),
+        ("p cnf 2 1\np cnf 2 1\na 1 0\ne 2 0\n1 2 0\n",
+         "duplicate 'p' header"),
+        ("p cnf 2 1\na 1 0\ne 2 0\n1 x 0\n", "non-integer"),
+        ("p cnf 2 1\na 1 0\nd 2 1 0\n1 2 0\n", "'d' line"),
+    ], ids=["var-above-count", "prefix-after-clause", "second-header",
+            "non-integer-token", "d-line"])
+    def test_malformed_input_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_qdimacs(text)
+
 
 class TestWrite:
     def test_roundtrip_two_qbf(self):

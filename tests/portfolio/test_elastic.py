@@ -6,14 +6,12 @@ import os
 
 import pytest
 
-from repro.core.result import Status
 from repro.dqbf.instance import DQBFInstance
 from repro.formula.cnf import CNF
 from repro.portfolio.elastic import (
     ElasticWorker,
     default_worker_id,
     merge_shards,
-    run_elastic_worker,
     shard_path,
     shard_paths,
 )
@@ -50,9 +48,9 @@ class TestSingleWorker:
     def test_one_worker_completes_and_matches_serial(self, tmp_path):
         instances = suite()
         store = str(tmp_path / "camp.jsonl")
-        summary = run_elastic_worker(instances, ENGINES, store,
-                                     worker_id="w1", timeout=10.0,
-                                     seed=7)
+        summary = ElasticWorker(instances, ENGINES, store,
+                                worker_id="w1", timeout=10.0,
+                                seed=7).run()
         assert summary["complete"]
         assert not summary["drained"]
         assert summary["executed"] == len(instances) * len(ENGINES)
@@ -63,9 +61,9 @@ class TestSingleWorker:
     def test_canonical_store_loads_through_campaignstore(self, tmp_path):
         instances = suite(2)
         store = str(tmp_path / "camp.jsonl")
-        summary = run_elastic_worker(instances, ENGINES, store,
-                                     worker_id="w1", timeout=10.0,
-                                     seed=7)
+        summary = ElasticWorker(instances, ENGINES, store,
+                                worker_id="w1", timeout=10.0,
+                                seed=7).run()
         loaded = CampaignStore(store).load()
         assert loaded.timeout == 10.0
         assert table_key(loaded) == table_key(summary["table"])
@@ -73,9 +71,9 @@ class TestSingleWorker:
     def test_records_are_worker_stamped_and_lease_stamped(self, tmp_path):
         instances = suite(1)
         store = str(tmp_path / "camp.jsonl")
-        summary = run_elastic_worker(instances, ENGINES, store,
-                                     worker_id="w1", timeout=10.0,
-                                     seed=7)
+        summary = ElasticWorker(instances, ENGINES, store,
+                                worker_id="w1", timeout=10.0,
+                                seed=7).run()
         for record in summary["table"].records:
             assert record.stats["worker"]["id"] == "w1"
             assert record.stats["worker"]["host"]
@@ -86,10 +84,10 @@ class TestSingleWorker:
     def test_progress_fires_per_executed_run(self, tmp_path):
         instances = suite(2)
         seen = []
-        run_elastic_worker(instances, ENGINES,
-                           str(tmp_path / "camp.jsonl"), worker_id="w1",
-                           timeout=10.0, seed=7,
-                           progress=seen.append)
+        ElasticWorker(instances, ENGINES,
+                      str(tmp_path / "camp.jsonl"), worker_id="w1",
+                      timeout=10.0, seed=7,
+                      progress=seen.append).run()
         assert sorted((r.engine, r.instance) for r in seen) == sorted(
             (e, i.name) for e in ENGINES for i in instances)
 
@@ -116,11 +114,11 @@ class TestJoinValidation:
 
     def test_mismatched_campaign_parameters_are_refused(self, tmp_path):
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(suite(1), ENGINES, store, worker_id="w1",
-                           timeout=10.0, seed=7)
+        ElasticWorker(suite(1), ENGINES, store, worker_id="w1",
+                      timeout=10.0, seed=7).run()
         with pytest.raises(ReproError, match="timeout"):
-            run_elastic_worker(suite(1), ENGINES, store, worker_id="w2",
-                               timeout=5.0, seed=7)
+            ElasticWorker(suite(1), ENGINES, store, worker_id="w2",
+                          timeout=5.0, seed=7).run()
 
     def test_default_worker_id_is_host_pid(self):
         assert default_worker_id().endswith("-%d" % os.getpid())
@@ -133,9 +131,9 @@ class TestTwoWorkers:
         ctx = multiprocessing.get_context("fork")
 
         def worker(worker_id, queue):
-            summary = run_elastic_worker(
+            summary = ElasticWorker(
                 instances, ENGINES, store, worker_id=worker_id,
-                timeout=10.0, seed=7, merge_on_complete=False)
+                timeout=10.0, seed=7, merge_on_complete=False).run()
             queue.put((worker_id, summary["executed"]))
 
         queue = ctx.Queue()
@@ -160,10 +158,10 @@ class TestTwoWorkers:
     def test_second_worker_joins_a_finished_campaign(self, tmp_path):
         instances = suite(2)
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(instances, ENGINES, store, worker_id="w1",
-                           timeout=10.0, seed=7)
-        late = run_elastic_worker(instances, ENGINES, store,
-                                  worker_id="w2", timeout=10.0, seed=7)
+        ElasticWorker(instances, ENGINES, store, worker_id="w1",
+                      timeout=10.0, seed=7).run()
+        late = ElasticWorker(instances, ENGINES, store,
+                             worker_id="w2", timeout=10.0, seed=7).run()
         assert late["complete"]
         assert late["executed"] == 0
 
@@ -176,13 +174,13 @@ class TestCrashRecovery:
         # re-publish without re-running.
         instances = suite(1)
         store = str(tmp_path / "camp.jsonl")
-        first = run_elastic_worker(instances, ENGINES, store,
-                                   worker_id="w1", timeout=10.0, seed=7)
+        first = ElasticWorker(instances, ENGINES, store,
+                              worker_id="w1", timeout=10.0, seed=7).run()
         assert first["executed"] == 2
         os.remove(lease_log_path(store))  # forget every completion
 
-        again = run_elastic_worker(instances, ENGINES, store,
-                                   worker_id="w1", timeout=10.0, seed=7)
+        again = ElasticWorker(instances, ENGINES, store,
+                              worker_id="w1", timeout=10.0, seed=7).run()
         assert again["complete"]
         assert again["executed"] == 0
         assert again["recovered"] == 2
@@ -192,14 +190,14 @@ class TestCrashRecovery:
             self, tmp_path):
         instances = suite(1)
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(instances, ENGINES, store, worker_id="w1",
-                           timeout=10.0, seed=7)
+        ElasticWorker(instances, ENGINES, store, worker_id="w1",
+                      timeout=10.0, seed=7).run()
         os.remove(lease_log_path(store))
 
         # A *different* id cannot trust the stranger's shard: it
         # re-runs, and its completion wins at merge.
-        again = run_elastic_worker(instances, ENGINES, store,
-                                   worker_id="w2", timeout=10.0, seed=7)
+        again = ElasticWorker(instances, ENGINES, store,
+                              worker_id="w2", timeout=10.0, seed=7).run()
         assert again["executed"] == 2
         assert again["recovered"] == 0
         for record in again["table"].records:
@@ -210,8 +208,8 @@ class TestMerge:
     def test_merge_is_idempotent(self, tmp_path):
         instances = suite(2)
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(instances, ENGINES, store, worker_id="w1",
-                           timeout=10.0, seed=7)
+        ElasticWorker(instances, ENGINES, store, worker_id="w1",
+                      timeout=10.0, seed=7).run()
         with open(store, "rb") as handle:
             first = handle.read()
         merge_shards(store)
@@ -221,8 +219,8 @@ class TestMerge:
     def test_merge_write_false_leaves_no_canonical_file(self, tmp_path):
         instances = suite(1)
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(instances, ENGINES, store, worker_id="w1",
-                           timeout=10.0, seed=7, merge_on_complete=False)
+        ElasticWorker(instances, ENGINES, store, worker_id="w1",
+                      timeout=10.0, seed=7, merge_on_complete=False).run()
         assert not os.path.exists(store)
         table = merge_shards(store, write=False)
         assert not os.path.exists(store)
@@ -256,50 +254,3 @@ class TestDrain:
         # nothing leased, nothing abandoned
         states = worker.log.resolve()
         assert all(s.owner is None for s in states.values())
-
-    def test_external_cancel_token_drains(self, tmp_path):
-        from repro.api.cancellation import CancellationToken
-
-        token = CancellationToken()
-        token.cancel()
-        summary = run_elastic_worker(
-            suite(2), ENGINES, str(tmp_path / "camp.jsonl"),
-            worker_id="w1", timeout=10.0, seed=7, cancel=token)
-        assert summary["drained"]
-        assert summary["executed"] == 0
-
-
-class TestSolveBatchElastic:
-    def test_facade_elastic_batch_matches_reference(self, tmp_path):
-        from repro.api import Problem, Solver, solve_batch
-
-        instances = suite(2)
-        problems = [Problem(i) for i in instances]
-        solvers = [Solver(name) for name in ENGINES]
-        store = str(tmp_path / "camp.jsonl")
-        batch = solve_batch(problems, solvers, timeout=10.0, seed=7,
-                            store=store, elastic=True, worker_id="w1")
-        assert table_key(batch.table) \
-            == table_key(serial_reference(instances, tmp_path))
-
-    def test_facade_elastic_requires_store(self):
-        from repro.api import Problem, Solver, solve_batch
-
-        with pytest.raises(ReproError, match="store"):
-            solve_batch([Problem(tiny_instance("a"))],
-                        [Solver("manthan3")], elastic=True)
-
-    def test_facade_elastic_refuses_custom_engine_objects(self, tmp_path):
-        from repro.api import Problem, Solver, solve_batch
-        from repro.core.result import SynthesisResult
-
-        class Custom:
-            name = "custom"
-
-            def run(self, instance, timeout=None):
-                return SynthesisResult(Status.UNKNOWN)
-
-        with pytest.raises(ReproError, match="custom"):
-            solve_batch([Problem(tiny_instance("a"))],
-                        [Solver(Custom())], elastic=True,
-                        store=str(tmp_path / "camp.jsonl"))

@@ -9,12 +9,13 @@ from repro.core.result import Status, SynthesisResult
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
 from repro.formula.cnf import CNF
+from repro.portfolio import parallel
 from repro.portfolio.parallel import (
     ENGINE_SPECS,
     PipelineEngineSpec,
     derive_job_seed,
     engine_names,
-    make_engine,
+    resolve_engine_spec,
     run_campaign,
 )
 from repro.utils.errors import ReproError
@@ -62,7 +63,7 @@ class RaisingEngine:
 class TestRegistry:
     def test_all_engines_buildable(self):
         for name in engine_names():
-            engine = make_engine(name, seed=1)
+            engine = resolve_engine_spec(name).build(seed=1)
             # records use the registry name; the engine's own label may
             # be longer (e.g. skolem -> "skolem-composition")
             assert engine.name.startswith(name)
@@ -94,7 +95,7 @@ class TestRegistry:
 
     def test_unknown_engine_raises(self):
         with pytest.raises(ReproError):
-            make_engine("no-such-engine")
+            resolve_engine_spec("no-such-engine")
         with pytest.raises(ReproError):
             run_campaign([tiny_instance("a")], ["no-such-engine"])
 
@@ -114,6 +115,11 @@ class TestJobSeeds:
         assert derive_job_seed(None, "manthan3", "inst") is None
 
 
+@pytest.fixture
+def short_kill_grace(monkeypatch):
+    monkeypatch.setattr(parallel, "KILL_GRACE", 0.3)
+
+
 class TestPoolScheduling:
     def test_all_pairs_recorded(self):
         instances = [tiny_instance(chr(ord("a") + k)) for k in range(5)]
@@ -122,21 +128,21 @@ class TestPoolScheduling:
         assert len(table.records) == 5
         assert table.solved_instances("good") == {"a", "b", "c", "d", "e"}
 
-    def test_canonical_record_order(self):
+    def test_canonical_record_order(self, short_kill_grace):
         instances = [tiny_instance("a"), tiny_instance("b")]
         table = run_campaign(instances, [GoodEngine(), HangingEngine()],
-                             timeout=0.1, jobs=4, kill_grace=0.3)
+                             timeout=0.1, jobs=4)
         assert [(r.engine, r.instance) for r in table.records] == [
             ("good", "a"), ("hanging", "a"),
             ("good", "b"), ("hanging", "b")]
 
-    def test_hung_worker_killed(self):
+    def test_hung_worker_killed(self, short_kill_grace):
         table = run_campaign([tiny_instance("a")], [HangingEngine()],
-                             timeout=0.2, jobs=2, kill_grace=0.3)
+                             timeout=0.2, jobs=2)
         record = table.record_for("hanging", "a")
         assert record.status == Status.TIMEOUT
         assert record.stats.get("killed") is True
-        assert "killed" in record.reason
+        assert "killed 0.3s past" in record.reason
 
     def test_crashed_worker_reported(self):
         table = run_campaign([tiny_instance("a")], [CrashingEngine()],
@@ -152,6 +158,20 @@ class TestPoolScheduling:
         record = table.record_for("raising", "a")
         assert record.status == Status.UNKNOWN
         assert "engine bug" in record.reason
+
+    def test_raising_engine_gives_the_same_record_at_any_jobs(self):
+        # An engine exception is a record, never a lost campaign — and
+        # the same record whether the pool or the serial path ran it.
+        instances = [tiny_instance("a"), tiny_instance("b")]
+        tables = [run_campaign(instances, [GoodEngine(), RaisingEngine()],
+                               timeout=5, jobs=jobs)
+                  for jobs in (1, 2)]
+        serial, pooled = [
+            [(r.engine, r.instance, r.status, r.certified, r.reason)
+             for r in table.records] for table in tables]
+        assert serial == pooled
+        assert serial[1] == ("raising", "a", Status.UNKNOWN, None,
+                             "worker error: ValueError('engine bug')")
 
     def test_one_bad_job_does_not_sink_the_pool(self):
         instances = [tiny_instance("a"), tiny_instance("b")]

@@ -13,7 +13,6 @@ from repro.portfolio.parallel import (
     RACE_PREFIX,
     RaceEngineSpec,
     derive_job_seed,
-    make_engine,
     parse_race_members,
     resolve_engine_spec,
     run_campaign,
@@ -124,8 +123,8 @@ class TestParsing:
         spec = resolve_engine_spec("race:manthan3+expansion")
         assert spec.job_seed(7, "inst") == 7
 
-    def test_make_engine_builds_a_racer(self):
-        engine = make_engine("race:manthan3+expansion", seed=7)
+    def test_race_spec_builds_a_racer(self):
+        engine = resolve_engine_spec("race:manthan3+expansion").build(7)
         assert isinstance(engine, RacingEngine)
         assert engine.campaign_seed == 7
 
@@ -157,7 +156,7 @@ class TestRaceSemantics:
         # Without cancellation the slowpoke burns 30 s; the race must
         # return as soon as the real engine wins.
         start = time.monotonic()
-        engine = make_engine("race:manthan3+slowpoke", seed=7)
+        engine = resolve_engine_spec("race:manthan3+slowpoke").build(7)
         result = engine.run(tiny_instance("a"), timeout=10.0)
         elapsed = time.monotonic() - start
         assert result.status == Status.SYNTHESIZED
@@ -167,7 +166,7 @@ class TestRaceSemantics:
         assert race["outcomes"]["slowpoke"]["status"] == Status.CANCELLED
 
     def test_losers_anytime_partials_are_retained(self, slowpoke):
-        engine = make_engine("race:manthan3+slowpoke", seed=7)
+        engine = resolve_engine_spec("race:manthan3+slowpoke").build(7)
         result = engine.run(tiny_instance("a"), timeout=10.0)
         outcome = result.stats["race"]["outcomes"]["slowpoke"]
         assert outcome["partial_functions"] == 1
@@ -193,7 +192,7 @@ class TestRaceSemantics:
 
         ENGINE_SPECS["crashy"] = _CrashSpec()
         try:
-            engine = make_engine("race:crashy+manthan3", seed=7)
+            engine = resolve_engine_spec("race:crashy+manthan3").build(7)
             result = engine.run(tiny_instance("a"), timeout=10.0)
         finally:
             del ENGINE_SPECS["crashy"]
@@ -207,14 +206,14 @@ class TestRaceSemantics:
 
         token = CancellationToken()
         token.cancel()
-        engine = make_engine("race:slowpoke+manthan3", seed=7)
+        engine = resolve_engine_spec("race:slowpoke+manthan3").build(7)
         result = engine.run(tiny_instance("a"), timeout=10.0,
                             cancel=token)
         outcome = result.stats["race"]["outcomes"]["slowpoke"]
         assert outcome["status"] == Status.CANCELLED
 
     def test_saved_wall_clock_is_nonnegative(self):
-        engine = make_engine("race:manthan3+expansion", seed=7)
+        engine = resolve_engine_spec("race:manthan3+expansion").build(7)
         result = engine.run(tiny_instance("a"), timeout=10.0)
         assert result.stats["race"]["saved"] >= 0.0
 
@@ -244,12 +243,12 @@ class TestRaceInCampaigns:
             in ("manthan3", "expansion")
 
     def test_race_groups_work_in_elastic_campaigns(self, tmp_path):
-        from repro.portfolio.elastic import run_elastic_worker
+        from repro.portfolio.elastic import ElasticWorker
 
-        summary = run_elastic_worker(
+        summary = ElasticWorker(
             [tiny_instance("a")], ["race:manthan3+expansion"],
             str(tmp_path / "camp.jsonl"), worker_id="w1", timeout=10.0,
-            seed=7)
+            seed=7).run()
         assert summary["complete"]
         record = summary["table"].records[0]
         assert record.status == Status.SYNTHESIZED

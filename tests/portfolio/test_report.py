@@ -177,14 +177,14 @@ class TestElasticSection:
         # counts straight from the merged canonical file
         from repro.dqbf.instance import DQBFInstance
         from repro.formula.cnf import CNF
-        from repro.portfolio.elastic import run_elastic_worker
+        from repro.portfolio.elastic import ElasticWorker
         from repro.portfolio.store import CampaignStore
 
         cnf = CNF([[-2, 1], [2, -1]])
         instances = [DQBFInstance([1], {2: [1]}, cnf, name="i")]
         store = str(tmp_path / "camp.jsonl")
-        run_elastic_worker(instances, ["manthan3"], store,
-                           worker_id="w1", timeout=10.0, seed=7)
+        ElasticWorker(instances, ["manthan3"], store,
+                      worker_id="w1", timeout=10.0, seed=7).run()
         text = "\n".join(render_report(CampaignStore(store).load()))
         assert "-- elastic campaign --" in text
         assert "worker w1" in text
