@@ -269,10 +269,27 @@ def _run_elastic(args, names, suite):
               % (len(summary["table"].records), args.out),
               file=sys.stderr)
         _emit_report(summary["table"], args.report)
-    else:
+    elif _other_lease_holders(args.out, args.worker_id):
         print("campaign still in progress: other workers hold leases "
               "(store %s)" % args.out, file=sys.stderr)
+    else:
+        print("campaign unfinished: no worker holds a lease; another "
+              "worker run will finish it (store %s)" % args.out,
+              file=sys.stderr)
     return 0
+
+
+def _other_lease_holders(store_path, worker_id):
+    """Does a worker other than ``worker_id`` hold a live lease in the
+    campaign at ``store_path``?"""
+    import time
+
+    from repro.portfolio.leases import LeaseLog, lease_log_path
+
+    now = time.time()
+    states = LeaseLog(lease_log_path(store_path)).resolve().values()
+    return any(state.held(now) and state.owner != worker_id
+               for state in states)
 
 
 def cmd_run_suite(args):

@@ -14,7 +14,10 @@ of the engine's trajectory contract: the pipeline issues a fixed
 sequence (sampler = 1, preprocess = 2, verify = 100+iteration, repair =
 200+iteration, oracle sessions from the separate ``oracle_rng`` stream),
 and reordering it changes the pinned trajectory digest
-(``tests/trajectory.py``) — statuses *and* functions.
+(``tests/trajectory.py``) — statuses *and* functions.  Within a round's
+verify stream (salt 100+iteration) the first draws are the simulation
+patterns: one ``getrandbits(SIM_WIDTH)`` per universal, in instance
+order (:func:`repro.core.verifier.simulate`).
 """
 
 from repro.core.config import Manthan3Config

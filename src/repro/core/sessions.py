@@ -106,6 +106,7 @@ class VerifierSession:
         self.failovers = 0
         self._retired_conflicts = 0
         self.calls = 0
+        self.simulated = 0     # rounds answered by simulation, no call
         self.groups_released = 0
         self._install(backend, rng)
 
@@ -191,6 +192,7 @@ class VerifierSession:
         counters = self.solver.stats()
         return {
             "calls": self.calls,
+            "simulated": self.simulated,
             "conflicts": counters["conflicts"] + self._retired_conflicts,
             "groups_released": self.groups_released,
             "encode_hits": self.encoder.hits,

@@ -11,29 +11,45 @@ The engine passes its sessions: ``session`` is a long-lived
 repaired candidates, and ``matrix_session`` answers the extension check
 by assumptions against its persistent ϕ-solver.
 
+Simulate, then SAT.  Line 10 needs *some* model of E, and every X
+assignment on which the candidates break ϕ is one.  Given the
+composition ``order``, the session path first evaluates the candidates
+and ϕ bit-parallel on ``SIM_WIDTH`` uniform X patterns drawn from
+``rng`` (:func:`simulate`) and takes the lowest failing row as δ; the
+SAT verifier is asked only when no row fails — the random-simulation
+filter of combinational equivalence checking (Mishchenko et al.,
+ICCAD 2006).  ``VALID`` still comes only from an UNSAT answer.
+
 Called without sessions, each round Tseitin-encodes the whole vector
-and builds throwaway solvers — the session-free reference that the
-session tests and the Pedant-like baseline use.  The two SAT calls then
-get *independent* RNG streams spawned from ``rng`` — sharing one stream
-would make the extension check's randomness depend on how many branches
-the E-check happened to take.
+and builds throwaway solvers, with no simulation — the session-free
+reference that the session tests and the Pedant-like baseline use.  The
+two SAT calls then get *independent* RNG streams spawned from ``rng`` —
+sharing one stream would make the extension check's randomness depend
+on how many branches the E-check happened to take.
 """
 
+from repro.formula.bitvec import SampleMatrix, evaluate_vector_bits, \
+    violated_rows
 from repro.formula.cnf import CNF
 from repro.formula.tseitin import TseitinEncoder, negated_cnf_expr
 from repro.sat.solver import Solver, SAT, UNSAT
 from repro.utils.errors import ResourceBudgetExceeded
 from repro.utils.rng import make_rng, spawn
 
+#: X patterns simulated per verification round before the SAT verifier
+#: is asked (one ``getrandbits`` word per universal).
+SIM_WIDTH = 1024
+
 
 def run_verify(ctx):
     """Pipeline entry: one verification round against the context.
 
     Spawns the per-iteration RNG stream (salt ``100 + iteration``, part
-    of the trajectory contract; see :mod:`repro.core.context`) and
-    routes through the context's sessions and deadline.
+    of the trajectory contract; see :mod:`repro.core.context`), which
+    the simulation patterns are drawn from, and routes through the
+    context's order, sessions and deadline.
     """
-    return verify_candidates(ctx.instance, ctx.candidates,
+    return verify_candidates(ctx.instance, ctx.candidates, order=ctx.order,
                              rng=spawn(ctx.rng, 100 + ctx.iteration),
                              deadline=ctx.deadline,
                              session=ctx.verifier_session,
@@ -70,33 +86,62 @@ def build_verification_cnf(instance, candidates):
     return cnf
 
 
-def verify_candidates(instance, candidates, rng=None, deadline=None,
-                      session=None, matrix_session=None):
-    """Run the two SAT checks of the verification phase.
+def simulate(instance, candidates, order, rng):
+    """A counterexample found by simulation: ``(σ[X], δ[Y′])`` or ``None``.
+
+    Evaluates the candidate vector (composed along ``order``) and ϕ on
+    ``SIM_WIDTH`` uniform X patterns drawn from ``rng``.  The lowest row
+    on which ϕ is false is a model of E: σ[X] is its pattern and δ[Y′]
+    the candidates' outputs on it.
+    """
+    patterns = SampleMatrix.random(instance.universals, SIM_WIDTH, rng)
+    columns = dict(patterns.columns)
+    columns.update(evaluate_vector_bits(candidates, order, patterns))
+    failing = violated_rows(instance.matrix.clauses, columns, patterns.mask)
+    if not failing:
+        return None
+    row = (failing & -failing).bit_length() - 1
+    sigma_x = {x: bool(columns[x] >> row & 1) for x in instance.universals}
+    sigma_yp = {y: bool(columns[y] >> row & 1)
+                for y in instance.existentials}
+    return sigma_x, sigma_yp
+
+
+def verify_candidates(instance, candidates, order=None, rng=None,
+                      deadline=None, session=None, matrix_session=None):
+    """Run the verification phase: find a model of E, then check it
+    extends (Algorithm 1, lines 10–16).
 
     With ``session``/``matrix_session`` the oracles are incremental
-    queries against persistent solvers; without them throwaway solvers
-    are built (the session-free reference).  Raises
+    queries against persistent solvers, and given ``order`` the session
+    path tries :func:`simulate` before the E-check (a simulated round
+    counts under ``session.simulated``); without sessions throwaway
+    solvers are built (the session-free reference).  Raises
     :class:`ResourceBudgetExceeded` when an oracle call returns no
     answer (the engine maps this to TIMEOUT).
     """
-    ext_rng = None
-    if session is not None:
-        status = session.solve(candidates, deadline=deadline)
-        delta = session.model
-    else:
-        rng = make_rng(rng)
-        e_rng, ext_rng = spawn(rng, 1), spawn(rng, 2)
-        e_cnf = build_verification_cnf(instance, candidates)
-        solver = Solver(e_cnf, rng=e_rng)
-        status = solver.solve(deadline=deadline)
-        delta = solver.model
-    if status == UNSAT:
-        return VerificationOutcome("VALID")
-    if status != SAT:
-        raise ResourceBudgetExceeded("verification SAT call budget")
-    sigma_x = {x: delta[x] for x in instance.universals}
-    sigma_yp = {y: delta[y] for y in instance.existentials}
+    rng = make_rng(rng)
+    found = None
+    if session is not None and order is not None:
+        found = simulate(instance, candidates, order, rng)
+        if found is not None:
+            session.simulated += 1
+    if found is None:
+        if session is not None:
+            status = session.solve(candidates, deadline=deadline)
+            delta = session.model
+        else:
+            e_cnf = build_verification_cnf(instance, candidates)
+            solver = Solver(e_cnf, rng=spawn(rng, 1))
+            status = solver.solve(deadline=deadline)
+            delta = solver.model
+        if status == UNSAT:
+            return VerificationOutcome("VALID")
+        if status != SAT:
+            raise ResourceBudgetExceeded("verification SAT call budget")
+        found = ({x: delta[x] for x in instance.universals},
+                 {y: delta[y] for y in instance.existentials})
+    sigma_x, sigma_yp = found
 
     # Does ϕ(X, Y) ∧ (X ↔ δ[X]) have a model?  (Algorithm 1, line 13)
     assumptions = [x if sigma_x[x] else -x for x in instance.universals]
@@ -105,9 +150,7 @@ def verify_candidates(instance, candidates, rng=None, deadline=None,
             assumptions, purpose="extension", deadline=deadline)
         pi = matrix_session.model
     else:
-        if ext_rng is None:  # session E-check, no matrix session
-            ext_rng = spawn(make_rng(rng), 2)
-        ext_solver = Solver(instance.matrix, rng=ext_rng)
+        ext_solver = Solver(instance.matrix, rng=spawn(rng, 2))
         ext_status = ext_solver.solve(assumptions=assumptions,
                                       deadline=deadline)
         pi = ext_solver.model

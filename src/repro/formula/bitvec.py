@@ -9,9 +9,13 @@ value.  :func:`eval_bitset` then evaluates a whole
 — one bitwise operation per DAG node — instead of one tree walk per
 assignment.
 
-The learn→repair pipeline runs on this substrate: the decision-tree
-learner scores splits with popcounts over matrix columns, and repair
-evaluates the candidate vector over the batched counterexample matrix.
+The learn→verify→repair pipeline runs on this substrate: the
+decision-tree learner scores splits with popcounts over matrix columns;
+the verifier simulates the candidate vector on a
+:meth:`SampleMatrix.random` block of X patterns and finds the rows that
+break ϕ with :func:`violated_rows` (random simulation before SAT, as in
+combinational equivalence checking); and repair evaluates the candidate
+vector over the batched counterexample matrix.
 
 Memoization contract: :func:`eval_bitset` takes an optional ``memo``
 dict (id(node) → bitset) that may be shared across calls **as long as
@@ -53,6 +57,17 @@ class SampleMatrix:
     # ------------------------------------------------------------------
     # building
     # ------------------------------------------------------------------
+    @classmethod
+    def random(cls, variables, num_rows, rng):
+        """``num_rows`` uniformly random rows over ``variables``: one
+        ``rng.getrandbits(num_rows)`` draw per variable, in the order
+        given (so the draw sequence is fixed by that order)."""
+        matrix = cls()
+        matrix.columns = {int(v): rng.getrandbits(num_rows)
+                          for v in variables}
+        matrix.num_rows = num_rows
+        return matrix
+
     def append(self, assignment):
         """Add one row; returns its row index.
 
@@ -196,3 +211,21 @@ def refresh_vector_bits(candidates, order, outputs, matrix, yk):
         y = order[i]
         columns[y] = eval_bitset(candidates[y], scratch, memo)
     return {y: columns[y] for y in order}
+
+
+def violated_rows(clauses, columns, mask):
+    """Bitset of the rows on which some clause of ``clauses`` is false.
+
+    ``columns`` maps every variable the clauses mention to its packed
+    column and ``mask`` is the all-rows mask: each literal costs one
+    bitwise OR, each clause one complement.
+    """
+    literals = dict(columns)
+    literals.update({-v: mask ^ bits for v, bits in columns.items()})
+    violated = 0
+    for clause in clauses:
+        satisfied = 0
+        for lit in clause:
+            satisfied |= literals[lit]
+        violated |= mask ^ satisfied
+    return violated

@@ -189,3 +189,54 @@ class TestRunSuite:
     def test_empty_engine_selection_rejected(self):
         with pytest.raises(SystemExit):
             main(["run-suite", "--engines", ","])
+
+
+class TestElasticDrain:
+    """The line a worker drained by SIGTERM prints about the campaign
+    it leaves unfinished."""
+
+    ARGS = ["run-suite", "--suite", "smoke", "--limit", "1",
+            "--engines", "expansion", "--timeout", "20", "--seed", "0",
+            "--elastic", "--worker-id", "w1"]
+
+    @pytest.fixture
+    def sigterm_before_first_claim(self, monkeypatch):
+        import signal
+
+        from repro.portfolio.elastic import ElasticWorker
+
+        real_run = ElasticWorker.run
+
+        def run(worker):
+            os.kill(os.getpid(), signal.SIGTERM)  # the CLI's handler drains
+            return real_run(worker)
+
+        monkeypatch.setattr(ElasticWorker, "run", run)
+        handler = signal.getsignal(signal.SIGTERM)
+        yield
+        signal.signal(signal.SIGTERM, handler)
+
+    def test_no_lease_held(self, tmp_path, capsys,
+                           sigterm_before_first_claim):
+        out = str(tmp_path / "e.jsonl")
+        assert main(self.ARGS + ["--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "0 executed" in err and "(drained)" in err
+        assert "campaign unfinished: no worker holds a lease" in err
+        assert "other workers hold leases" not in err
+
+    def test_another_worker_holds_a_lease(self, tmp_path, capsys,
+                                          sigterm_before_first_claim):
+        from repro.benchgen import build_suite
+        from repro.portfolio.leases import LeaseLog, lease_log_path
+
+        out = str(tmp_path / "e.jsonl")
+        instance = build_suite("smoke", seed=0)[0]
+        assert LeaseLog(lease_log_path(out)).claim(
+            ("expansion", instance.name), "w2", duration=3600)
+        assert main(self.ARGS + ["--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "(drained)" in err
+        assert "campaign still in progress: other workers hold leases" \
+            in err
+        assert "no worker holds a lease" not in err

@@ -35,7 +35,7 @@ from repro.formula.cnf import CNF
 #: Digest of :func:`engine_cases` (planted/controller/pec families plus a
 #: small-suite slice that used to vary between processes).
 ENGINE_SHA256 = \
-    "db3c4a89b3ba30882e5978d9ea1c280699d199509c28493a123c4776a9711b2c"
+    "a763cbd6a6b1f77b123dc1ee8ba71dc7dbaa844f80ed955debdc3213ebebc199"
 
 #: Digest of :func:`false_cases` (the three FALSE proof routes).
 FALSE_SHA256 = \
@@ -43,7 +43,7 @@ FALSE_SHA256 = \
 
 #: Digest of the whole ``small`` suite (built with seed 0, engine seed 5).
 SMALL_SUITE_SHA256 = \
-    "58d6c9c33b1e13865b1ce5e10bfd3007848eab8644876a82f16e1d6da6c6e5b9"
+    "22f5d2a68f204f33459ce37e0f2b2013130c0953dba4cd1cf3fe997ddc2942a3"
 
 #: ``small``-suite instances in the engine cases.  Under the old
 #: address-based ``BoolExpr`` hash, ``pec_n20_..._s17`` ended SYNTHESIZED
