@@ -75,12 +75,16 @@ class SynthesisContext:
     candidates / tracker / order:
         The learner's candidate vector, the dependency bookkeeping
         ``D``, and the current total order.
-    cex_matrix / repair_counts / non_repairable / stagnation / iteration:
+    cex_matrix / program / repair_counts / non_repairable / stagnation /
+    iteration:
         Verify–repair loop state: the batched counterexample matrix,
-        per-candidate repair counts, retired candidates (preprocessing
-        fixed + self-substituted), the stagnation counter, and the
-        current loop iteration (which seeds the per-iteration RNG
-        spawns).
+        the run's :class:`~repro.formula.bitvec.EvalProgram` (created
+        when the loop starts and dropped when it ends, so compiled
+        code never outlives the run; simulation and repair's
+        evaluations all run on it), per-candidate repair counts,
+        retired candidates (preprocessing fixed + self-substituted),
+        the stagnation counter, and the current loop iteration (which
+        seeds the per-iteration RNG spawns).
     listeners / cancel:
         The run's observation and interruption channels
         (:mod:`repro.api`): subscribed event listeners (emission is a
@@ -111,6 +115,7 @@ class SynthesisContext:
         self.tracker = None
         self.order = None
         self.cex_matrix = None
+        self.program = None
         self.repair_counts = {}
         self.non_repairable = None
         self.stagnation = 0

@@ -49,7 +49,7 @@ from repro.core.result import Status, SynthesisResult
 from repro.core.selfsub import run_self_substitution
 from repro.core.sessions import build_sessions
 from repro.core.verifier import run_verify
-from repro.formula.bitvec import SampleMatrix
+from repro.formula.bitvec import EvalProgram, SampleMatrix
 from repro.formula.simplify import propagate_units
 from repro.sampling import Sampler
 from repro.utils.errors import (
@@ -162,7 +162,10 @@ def verify_repair(ctx):
     The counterexample matrix batches every σ[X] seen so far; repair's
     candidate-vector evaluations sweep the whole batch bit-parallel.
     Its width is bounded by max_repair_iterations (default 400 rows ≈ 7
-    machine words per column), so the widening sweeps stay cheap.
+    machine words per column), so the widening sweeps stay cheap.  The
+    loop's simulation and repair evaluations run on one
+    :class:`~repro.formula.bitvec.EvalProgram`, created here and dropped
+    from the context when the loop ends, however it ends.
 
     The loop ends ``UNKNOWN`` in three ways: the iteration cap, repair
     stagnation (``STAGNATION_LIMIT`` rounds in a row that modify
@@ -170,12 +173,20 @@ def verify_repair(ctx):
     (σ[X], δ[Y′]) whose earlier repair modified some candidate, so the
     repairs are oscillating rather than converging.
     """
-    instance, config = ctx.instance, ctx.config
-    ctx.cex_matrix = SampleMatrix(instance.universals)
+    ctx.cex_matrix = SampleMatrix(ctx.instance.universals)
+    ctx.program = EvalProgram()
     ctx.stagnation = 0
     ctx.repair_counts = {}
     ctx.non_repairable = dict(ctx.fixed)
     ctx.stats["self_substitutions"] = 0
+    try:
+        return _verify_repair_rounds(ctx)
+    finally:
+        ctx.program = None
+
+
+def _verify_repair_rounds(ctx):
+    instance, config = ctx.instance, ctx.config
     # (σ[X], δ[Y′]) of every counterexample whose repair modified a
     # candidate; seeing one again means the repairs oscillate.
     repaired = set()

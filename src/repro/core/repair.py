@@ -23,7 +23,10 @@ already-repaired functions (the stale-slot variant can chase its own
 tail).  The worked example of §5 behaves identically under both.  The
 re-evaluation is *partial*
 (:func:`~repro.formula.bitvec.refresh_vector_bits`): only ``yk`` and
-the variables ordered before it can be affected by the repair.
+the variables ordered before it can be affected by the repair, and it
+runs on the run's :class:`~repro.formula.bitvec.EvalProgram`, which
+compiles only the repaired root — the nodes it shares with the old
+function keep their slots.
 """
 
 from collections import deque
@@ -42,7 +45,8 @@ def run_repair(ctx, sigma_x):
     Spawns the per-iteration RNG stream (salt ``200 + iteration``, part
     of the trajectory contract; see :mod:`repro.core.context`) and
     threads the context's loop state — retired candidates, repair
-    counts, counterexample matrix — into :func:`repair_iteration`.
+    counts, counterexample matrix, evaluation program — into
+    :func:`repair_iteration`.
     """
     return repair_iteration(ctx.instance, ctx.candidates, ctx.tracker,
                             ctx.order, sigma_x, ctx.config,
@@ -51,7 +55,8 @@ def run_repair(ctx, sigma_x):
                             deadline=ctx.deadline,
                             repair_counts=ctx.repair_counts,
                             matrix_session=ctx.matrix_session,
-                            cex_matrix=ctx.cex_matrix)
+                            cex_matrix=ctx.cex_matrix,
+                            program=ctx.program)
 
 
 def evaluate_vector(candidates, order, x_assignment):
@@ -81,8 +86,8 @@ def find_repair_candidates(instance, sigma_x, outputs, repairable,
 
 
 def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
-                     *, matrix_session, cex_matrix, fixed=(), rng=None,
-                     deadline=None, repair_counts=None):
+                     *, matrix_session, cex_matrix, program, fixed=(),
+                     rng=None, deadline=None, repair_counts=None):
     """Process one counterexample; mutates ``candidates``.
 
     Returns the number of candidate functions modified (0 signals the
@@ -98,13 +103,15 @@ def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
     row, and the candidate-vector evaluations run bit-parallel over the
     *whole* batch of counterexamples seen so far — one bitwise op per
     DAG node regardless of batch width — with this σ's outputs read off
-    its bit position.
+    its bit position.  They run on ``program`` (the run's
+    :class:`~repro.formula.bitvec.EvalProgram`).
     """
     fixed = set(fixed)
     index_of = {y: i for i, y in enumerate(order)}
     y_set = set(instance.existentials)
     cex_row = cex_matrix.append(sigma_x)
-    output_bits = evaluate_vector_bits(candidates, order, cex_matrix)
+    output_bits = evaluate_vector_bits(program, candidates, order,
+                                       cex_matrix)
     outputs = {y: bool((output_bits[y] >> cex_row) & 1) for y in order}
 
     repairable = [y for y in instance.existentials if y not in fixed]
@@ -156,7 +163,7 @@ def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
             modified += 1
             if repair_counts is not None:
                 repair_counts[yk] = repair_counts.get(yk, 0) + 1
-            output_bits = refresh_vector_bits(candidates, order,
+            output_bits = refresh_vector_bits(program, candidates, order,
                                               output_bits, cex_matrix, yk)
             outputs = {y: bool((output_bits[y] >> cex_row) & 1)
                        for y in order}

@@ -13,12 +13,13 @@ by assumptions against its persistent ϕ-solver.
 
 Simulate, then SAT.  Line 10 needs *some* model of E, and every X
 assignment on which the candidates break ϕ is one.  Given the
-composition ``order``, the session path first evaluates the candidates
-and ϕ bit-parallel on ``SIM_WIDTH`` uniform X patterns drawn from
-``rng`` (:func:`simulate`) and takes the lowest failing row as δ; the
-SAT verifier is asked only when no row fails — the random-simulation
-filter of combinational equivalence checking (Mishchenko et al.,
-ICCAD 2006).  ``VALID`` still comes only from an UNSAT answer.
+composition ``order`` and the run's evaluation program, the session
+path first evaluates the candidates and ϕ bit-parallel on ``SIM_WIDTH``
+uniform X patterns drawn from ``rng`` (:func:`simulate`) and takes the
+lowest failing row as δ; the SAT verifier is asked only when no row
+fails — the random-simulation filter of combinational equivalence
+checking (Mishchenko et al., ICCAD 2006).  ``VALID`` still comes only
+from an UNSAT answer.
 
 Called without sessions, each round Tseitin-encodes the whole vector
 and builds throwaway solvers, with no simulation — the session-free
@@ -47,13 +48,14 @@ def run_verify(ctx):
     Spawns the per-iteration RNG stream (salt ``100 + iteration``, part
     of the trajectory contract; see :mod:`repro.core.context`), which
     the simulation patterns are drawn from, and routes through the
-    context's order, sessions and deadline.
+    context's order, sessions, evaluation program and deadline.
     """
     return verify_candidates(ctx.instance, ctx.candidates, order=ctx.order,
                              rng=spawn(ctx.rng, 100 + ctx.iteration),
                              deadline=ctx.deadline,
                              session=ctx.verifier_session,
-                             matrix_session=ctx.matrix_session)
+                             matrix_session=ctx.matrix_session,
+                             program=ctx.program)
 
 
 class VerificationOutcome:
@@ -86,17 +88,19 @@ def build_verification_cnf(instance, candidates):
     return cnf
 
 
-def simulate(instance, candidates, order, rng):
+def simulate(instance, candidates, order, rng, program):
     """A counterexample found by simulation: ``(σ[X], δ[Y′])`` or ``None``.
 
-    Evaluates the candidate vector (composed along ``order``) and ϕ on
+    Evaluates the candidate vector (composed along ``order``, on the
+    :class:`~repro.formula.bitvec.EvalProgram` ``program``) and ϕ on
     ``SIM_WIDTH`` uniform X patterns drawn from ``rng``.  The lowest row
     on which ϕ is false is a model of E: σ[X] is its pattern and δ[Y′]
     the candidates' outputs on it.
     """
     patterns = SampleMatrix.random(instance.universals, SIM_WIDTH, rng)
     columns = dict(patterns.columns)
-    columns.update(evaluate_vector_bits(candidates, order, patterns))
+    columns.update(evaluate_vector_bits(program, candidates, order,
+                                        patterns))
     failing = violated_rows(instance.matrix.clauses, columns, patterns.mask)
     if not failing:
         return None
@@ -108,22 +112,24 @@ def simulate(instance, candidates, order, rng):
 
 
 def verify_candidates(instance, candidates, order=None, rng=None,
-                      deadline=None, session=None, matrix_session=None):
+                      deadline=None, session=None, matrix_session=None,
+                      program=None):
     """Run the verification phase: find a model of E, then check it
     extends (Algorithm 1, lines 10–16).
 
     With ``session``/``matrix_session`` the oracles are incremental
-    queries against persistent solvers, and given ``order`` the session
-    path tries :func:`simulate` before the E-check (a simulated round
-    counts under ``session.simulated``); without sessions throwaway
-    solvers are built (the session-free reference).  Raises
+    queries against persistent solvers, and given ``order`` and
+    ``program`` (an :class:`~repro.formula.bitvec.EvalProgram`) the
+    session path tries :func:`simulate` before the E-check (a simulated
+    round counts under ``session.simulated``); without sessions
+    throwaway solvers are built (the session-free reference).  Raises
     :class:`ResourceBudgetExceeded` when an oracle call returns no
     answer (the engine maps this to TIMEOUT).
     """
     rng = make_rng(rng)
     found = None
-    if session is not None and order is not None:
-        found = simulate(instance, candidates, order, rng)
+    if session is not None and program is not None:
+        found = simulate(instance, candidates, order, rng, program)
         if found is not None:
             session.simulated += 1
     if found is None:

@@ -28,8 +28,8 @@ from repro.formula.boolfunc import (
 )
 from repro.formula.tseitin import TseitinEncoder, expr_to_cnf
 from repro.formula.bitvec import (
+    EvalProgram,
     SampleMatrix,
-    eval_bitset,
     evaluate_vector_bits,
     refresh_vector_bits,
 )
@@ -61,8 +61,8 @@ __all__ = [
     "lit",
     "TseitinEncoder",
     "expr_to_cnf",
+    "EvalProgram",
     "SampleMatrix",
-    "eval_bitset",
     "evaluate_vector_bits",
     "refresh_vector_bits",
 ]

@@ -4,9 +4,9 @@ This module plays the role ABC's word-parallel simulation plays in the
 paper's implementation, using arbitrary-width Python ints as the machine
 words.  A :class:`SampleMatrix` stores a set of assignments *column
 major*: one integer per variable where bit ``i`` holds sample ``i``'s
-value.  :func:`eval_bitset` then evaluates a whole
-:class:`~repro.formula.boolfunc.BoolExpr` DAG on **every** sample at once
-— one bitwise operation per DAG node — instead of one tree walk per
+value.  An :class:`EvalProgram` then evaluates a candidate vector of
+:class:`~repro.formula.boolfunc.BoolExpr` DAGs on **every** sample at
+once — one bitwise operation per DAG node — instead of one tree walk per
 assignment.
 
 The learn→verify→repair pipeline runs on this substrate: the
@@ -17,16 +17,30 @@ break ϕ with :func:`violated_rows` (random simulation before SAT, as in
 combinational equivalence checking); and repair evaluates the candidate
 vector over the batched counterexample matrix.
 
-Memoization contract: :func:`eval_bitset` takes an optional ``memo``
-dict (id(node) → bitset) that may be shared across calls **as long as
-no column read by an already-memoized node changes between calls**.
-:func:`evaluate_vector_bits` and :func:`refresh_vector_bits` exploit
-this: walking ``reversed(order)`` sets each output column exactly once,
-*before* any expression that reads it is swept, so one memo serves the
-whole vector.
+One program per run.  Repair only ever adds nodes (the new candidate is
+``f ∧ ¬β`` or ``f ∨ β``), so the verify–repair loop owns one
+:class:`EvalProgram`: every hash-consed node gets a value slot the first
+time it is seen, and every candidate root is compiled once into a flat
+list of binary instructions over slots.  :func:`evaluate_vector_bits`
+and :func:`refresh_vector_bits` then walk ``reversed(order)``, running
+each root's list in one tight loop and storing its value in the output
+variable's slot *before* any candidate that reads it runs.  The program
+holds code only for each output's current root, reads ``order`` afresh
+on every call (self-substitution may change it), and is dropped with
+the run.  There is no cache keyed by ``id()``: the slot table is keyed
+by the nodes themselves, which interning keeps alive.
 """
 
-from repro.formula.boolfunc import OP_AND, OP_CONST, OP_NOT, OP_OR, OP_VAR, OP_XOR
+from repro.formula.boolfunc import (
+    FALSE,
+    OP_AND,
+    OP_CONST,
+    OP_NOT,
+    OP_OR,
+    OP_VAR,
+    OP_XOR,
+    TRUE,
+)
 from repro.utils.errors import ReproError
 
 
@@ -87,13 +101,6 @@ class SampleMatrix:
         self.num_rows = row + 1
         return row
 
-    def copy(self):
-        """Shallow copy (columns dict is copied; ints are immutable)."""
-        dup = SampleMatrix()
-        dup.columns = dict(self.columns)
-        dup.num_rows = self.num_rows
-        return dup
-
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
@@ -125,92 +132,167 @@ class SampleMatrix:
                                                     self.num_rows)
 
 
-def eval_bitset(expr, matrix, memo=None):
-    """Evaluate ``expr`` on every row of ``matrix`` in one DAG sweep.
+#: Instruction opcodes of an :class:`EvalProgram`; every instruction is
+#: ``(op, dst, a, b)`` over slots of the value array.
+_AND, _OR, _XOR = 0, 1, 2
+_OPCODE = {OP_AND: _AND, OP_OR: _OR, OP_XOR: _XOR}
 
-    Returns an int whose bit ``i`` is ``expr.evaluate(matrix.row(i))``.
-    Each distinct DAG node costs one bitwise operation over the packed
-    width; shared nodes are computed once via ``memo`` (which callers may
-    pass in to share across expressions — see the module docstring for
-    the validity contract).
+#: Reserved slots: the all-rows mask (``TRUE``) and zero (``FALSE``).
+_ONES, _ZERO = 0, 1
+
+
+class EvalProgram:
+    """One run's append-only, slot-addressed evaluation program.
+
+    Every hash-consed :class:`~repro.formula.boolfunc.BoolExpr` node
+    gets a slot of the value array the first time the program sees it,
+    and keeps it for the program's lifetime.  Each candidate root is
+    compiled once, on first use, into a flat list of binary
+    instructions over those slots (``NOT`` is ``XOR`` with the all-ones
+    slot; an n-ary node is a chain into its own slot).  A repaired root
+    ``f ∧ ¬β`` / ``f ∨ β`` compiles only the nodes it does not share
+    with ``f``; the instructions of the shared ones are taken from
+    ``f``'s code.  Only the code of each output's *current* root is
+    kept: a superseded root's list is dropped when its successor
+    compiles.
     """
-    mask = matrix.mask
-    columns = matrix.columns
-    if memo is None:
-        memo = {}
-    stack = [(expr, False)]
-    while stack:
-        node, expanded = stack.pop()
-        key = id(node)
-        if key in memo:
-            continue
-        op = node.op
-        if op == OP_CONST:
-            memo[key] = mask if node.payload else 0
-        elif op == OP_VAR:
-            memo[key] = columns[node.payload]
-        elif not expanded:
-            stack.append((node, True))
-            for child in node.children:
-                stack.append((child, False))
-        else:
-            children = node.children
+
+    def __init__(self):
+        self._values = [0, 0]
+        self._slots = {TRUE: _ONES, FALSE: _ZERO}    # node -> slot
+        self._var_slots = {}     # variable id -> slot
+        # output y -> (root, code, result slot, slots the code writes)
+        self._roots = {}
+
+    def _new_slot(self):
+        self._values.append(None)
+        return len(self._values) - 1
+
+    def _var_slot(self, v):
+        slot = self._var_slots.get(v)
+        if slot is None:
+            slot = self._var_slots[v] = self._new_slot()
+        return slot
+
+    def _compile(self, y, root):
+        """Compile ``root`` as ``y``'s code, children before parents.
+
+        Nodes that ``y``'s previous code already computes are not
+        walked again: the instructions they need are kept from that
+        code (one backward pass over it), and only the new nodes are
+        compiled after them.
+        """
+        slots = self._slots
+        previous = self._roots.get(y)
+        inherited = previous[3] if previous is not None else ()
+        fresh = []
+        needed = set()
+        done = set()
+        stack = [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if node in done:
+                continue
+            op = node.op
+            dst = slots.get(node)
+            if dst in inherited:
+                needed.add(dst)
+                done.add(node)
+                continue
+            if op == OP_VAR or op == OP_CONST:
+                if dst is None:  # a variable the program has not seen
+                    slots[node] = self._var_slot(node.payload)
+                done.add(node)
+                continue
+            if not expanded:
+                stack.append((node, True))
+                stack.extend([(child, False) for child in node.children])
+                continue
+            done.add(node)
+            if dst is None:
+                dst = slots[node] = self._new_slot()
+            args = [slots[c] for c in node.children]
             if op == OP_NOT:
-                memo[key] = mask ^ memo[id(children[0])]
-            elif op == OP_AND:
-                acc = mask
-                for child in children:
-                    acc &= memo[id(child)]
-                memo[key] = acc
-            elif op == OP_OR:
-                acc = 0
-                for child in children:
-                    acc |= memo[id(child)]
-                memo[key] = acc
-            elif op == OP_XOR:
-                acc = 0
-                for child in children:
-                    acc ^= memo[id(child)]
-                memo[key] = acc
-            else:  # pragma: no cover - unreachable by construction
-                raise ReproError("unknown op %r" % op)
-    return memo[id(expr)]
+                fresh.append((_XOR, dst, args[0], _ONES))
+                continue
+            # The smart constructors leave every AND/OR/XOR node at
+            # least two operands.
+            opcode = _OPCODE[op]
+            fresh.append((opcode, dst, args[0], args[1]))
+            fresh.extend([(opcode, dst, dst, arg) for arg in args[2:]])
+        kept = []
+        if needed:
+            for instruction in reversed(previous[1]):
+                if instruction[1] in needed:
+                    kept.append(instruction)
+                    needed.add(instruction[2])
+                    needed.add(instruction[3])
+            kept.reverse()
+        code = kept + fresh
+        entry = self._roots[y] = (root, code, slots[root],
+                                  {instruction[1] for instruction in code})
+        return entry
+
+    def sweep(self, candidates, order, start, columns, mask):
+        """Evaluate ``order[start]``, ..., ``order[0]`` in that order.
+
+        The variable slots are loaded from ``columns`` (every other
+        variable slot is cleared, so a read of an output not yet swept
+        fails loudly); each output's slot then takes its root's value
+        before any earlier position, which may read it, is swept.
+        Returns ``{y: bitset}`` over ``order``.
+        """
+        values = self._values
+        var_slot = self._var_slot
+        for slot in self._var_slots.values():
+            values[slot] = None
+        for v, bits in columns.items():
+            values[var_slot(v)] = bits
+        values[_ONES] = mask
+        roots = self._roots
+        for i in range(start, -1, -1):
+            y = order[i]
+            root = candidates[y]
+            entry = roots.get(y)
+            if entry is None or entry[0] is not root:
+                entry = self._compile(y, root)
+            for op, dst, a, b in entry[1]:
+                if op == _AND:
+                    values[dst] = values[a] & values[b]
+                elif op == _OR:
+                    values[dst] = values[a] | values[b]
+                else:
+                    values[dst] = values[a] ^ values[b]
+            values[var_slot(y)] = values[entry[2]]
+        return {y: values[var_slot(y)] for y in order}
 
 
-def evaluate_vector_bits(candidates, order, matrix):
+def evaluate_vector_bits(program, candidates, order, matrix):
     """Candidate output bitsets on every row of ``matrix`` at once.
 
-    The packed analogue of :func:`repro.core.repair.evaluate_vector`:
-    walks ``reversed(order)`` so each candidate reads the already-packed
-    outputs of the variables it depends on.  Returns ``{y: bitset}``.
-    ``matrix`` itself is untouched (the walk runs on a scratch copy).
+    The packed analogue of :func:`repro.core.repair.evaluate_vector`,
+    run on ``program``: walks ``reversed(order)`` so each candidate
+    reads the already-packed outputs of the variables it depends on.
+    Returns ``{y: bitset}``; ``matrix`` itself is untouched.
     """
-    scratch = matrix.copy()
-    columns = scratch.columns
-    memo = {}
-    for y in reversed(order):
-        columns[y] = eval_bitset(candidates[y], scratch, memo)
-    return {y: columns[y] for y in order}
+    return program.sweep(candidates, order, len(order) - 1,
+                         matrix.columns, matrix.mask)
 
 
-def refresh_vector_bits(candidates, order, outputs, matrix, yk):
+def refresh_vector_bits(program, candidates, order, outputs, matrix, yk):
     """Output bitsets after only ``candidates[yk]`` changed.
 
     A candidate reads only the outputs of variables *later* in
     ``order``, so a repair of ``yk`` can change nothing after it —
     re-sweeping ``yk`` and the positions before it (against the existing
-    bitsets of the rest) reproduces :func:`evaluate_vector_bits`
-    exactly, without paying the full composition order after every
-    single repair.
+    bitsets ``outputs`` of the rest) reproduces
+    :func:`evaluate_vector_bits` exactly, without paying the full
+    composition order after every single repair.
     """
-    scratch = matrix.copy()
-    columns = scratch.columns
+    columns = dict(matrix.columns)
     columns.update(outputs)
-    memo = {}
-    for i in range(order.index(yk), -1, -1):
-        y = order[i]
-        columns[y] = eval_bitset(candidates[y], scratch, memo)
-    return {y: columns[y] for y in order}
+    return program.sweep(candidates, order, order.index(yk), columns,
+                         matrix.mask)
 
 
 def violated_rows(clauses, columns, mask):

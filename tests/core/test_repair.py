@@ -11,7 +11,8 @@ from repro.core.sessions import MatrixSession
 from repro.core.verifier import verify_candidates
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
-from repro.formula.bitvec import SampleMatrix, refresh_vector_bits
+from repro.formula.bitvec import EvalProgram, SampleMatrix, \
+    refresh_vector_bits
 from repro.formula.cnf import CNF
 
 
@@ -21,9 +22,11 @@ def make(universals, deps, clauses):
 
 def oracles(inst):
     """The loop state ``repair_iteration`` runs against: a persistent
-    ϕ-session and the counterexample matrix (one per repair loop)."""
+    ϕ-session, the counterexample matrix and the evaluation program
+    (one each per repair loop)."""
     return {"matrix_session": MatrixSession(inst.matrix),
-            "cex_matrix": SampleMatrix(inst.universals)}
+            "cex_matrix": SampleMatrix(inst.universals),
+            "program": EvalProgram()}
 
 
 class TestEvaluateVector:
@@ -145,6 +148,7 @@ class TestRefreshVector:
         rng = random.Random(3)
         order = [10, 11, 12, 13]
         x_vars = [1, 2, 3]
+        program = EvalProgram()  # one program across every trial
         for trial in range(40):
             # Each candidate may read X and any variable later in order.
             candidates = {}
@@ -163,8 +167,8 @@ class TestRefreshVector:
             beta = bf.lit(rng.choice(x_vars))
             candidates[yk] = bf.and_(candidates[yk], bf.not_(beta)) \
                 if rng.random() < 0.5 else bf.or_(candidates[yk], beta)
-            refreshed = refresh_vector_bits(candidates, order, outputs,
-                                            matrix, yk)
+            refreshed = refresh_vector_bits(program, candidates, order,
+                                            outputs, matrix, yk)
             assert _bit(refreshed) == \
                 evaluate_vector(candidates, order, sigma_x), trial
 
@@ -176,8 +180,8 @@ class TestRefreshVector:
         # A planted (wrong) bitset after yk proves it is not re-swept.
         outputs = {5: 1, 6: 1, 7: 1}
         candidates[6] = bf.not_(bf.var(1))
-        refreshed = refresh_vector_bits(candidates, order, outputs,
-                                        matrix, 6)
+        refreshed = refresh_vector_bits(EvalProgram(), candidates, order,
+                                        outputs, matrix, 6)
         assert refreshed[7] == 1                   # after yk: untouched
         assert refreshed[6] == 0                   # yk recomputed
         assert refreshed[5] == 0                   # before yk: recomputed

@@ -19,7 +19,7 @@ from repro.core.candidates import DependencyTracker
 from repro.dqbf import check_henkin_vector
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
-from repro.formula.bitvec import SampleMatrix
+from repro.formula.bitvec import EvalProgram, SampleMatrix
 from repro.formula.cnf import CNF
 from repro.sat.solver import SAT, UNSAT
 
@@ -122,7 +122,7 @@ class TestRepairWithSession:
                 break
             repair_iteration(inst, candidates, tracker, [3],
                              outcome.sigma_x, config, matrix_session=matrix,
-                             cex_matrix=cex_matrix)
+                             cex_matrix=cex_matrix, program=EvalProgram())
         assert verify_candidates(inst, candidates,
                                  session=session).verdict == "VALID"
 

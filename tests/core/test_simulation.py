@@ -14,6 +14,7 @@ from repro.core.verifier import simulate, verify_candidates
 from repro.dqbf import check_henkin_vector
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
+from repro.formula.bitvec import EvalProgram
 from repro.formula.cnf import CNF
 from repro.sat.solver import UNSAT
 
@@ -65,7 +66,8 @@ class TestSimulatedCounterexamples:
         found_count = none_count = 0
         for case in range(300):
             inst, candidates, order = random_case(rng)
-            found = simulate(inst, candidates, order, random.Random(case))
+            found = simulate(inst, candidates, order, random.Random(case),
+                             EvalProgram())
             # With at most 5 universals every X assignment is among the
             # SIM_WIDTH patterns (a miss has probability below 1e-13),
             # so simulation answers exactly when E has a model.
@@ -96,7 +98,8 @@ class TestSimulatedCounterexamples:
         session = VerifierSession(inst)
         outcome = verify_candidates(inst, {3: bf.FALSE}, order=[3],
                                     rng=7, session=session,
-                                    matrix_session=MatrixSession(inst.matrix))
+                                    matrix_session=MatrixSession(inst.matrix),
+                                    program=EvalProgram())
         assert outcome.verdict == "COUNTEREXAMPLE"
         assert outcome.sigma_x[1] or outcome.sigma_x[2]
         assert outcome.sigma_yp == {3: False}
@@ -155,7 +158,8 @@ class TestValidNeedsUnsat:
         session = VerifierSession(inst)
         outcome = verify_candidates(
             inst, {3: bf.or_(bf.var(1), bf.var(2))}, order=[3],
-            session=session, matrix_session=MatrixSession(inst.matrix))
+            session=session, matrix_session=MatrixSession(inst.matrix),
+            program=EvalProgram())
         assert outcome.verdict == "VALID"
         assert spy.answers == [UNSAT]
         assert session.stats()["simulated"] == 0
