@@ -74,11 +74,13 @@ def detect_unates(instance, deadline=None, rng=None, matrix_session=None,
     are committed to a working copy of the matrix so subsequent checks
     see them (order-dependent, as in Manthan).
 
-    With ``matrix_session`` each check is an assumption query against
-    the session's persistent ϕ-solver (its lazily-built dual rail
-    stands in for the cofactor construction), and fixed values are
-    committed as permanent units — the session-side equivalent of the
-    working copy.
+    With ``matrix_session`` each check is one assumption query on the
+    session's :class:`~repro.core.sessions.DualRail` — a solver of its
+    own, built on the first check, holding ``ϕ``, the units and ``¬ϕ``
+    over a primed copy, which stands in for the cofactor construction.
+    Fixed values are committed to the session as permanent units (on
+    the session solver and the dual rail alike) — the session-side
+    equivalent of the working copy.
 
     ``out`` (a dict) is an optional in-place accumulator: unates found
     before the deadline expires survive the unwind.
@@ -234,11 +236,11 @@ def preprocess(instance, config, deadline=None, rng=None,
     """Run the configured preprocessing passes; returns
     :class:`PreprocessOutcome`.
 
-    ``matrix_session`` routes the unate checks through the engine's
-    persistent ϕ-solver; its dual-rail apparatus is retired here, the
-    moment the unate pass ends — even when that pass unwinds on an
-    expired deadline — so the verify–repair loop never carries those
-    clauses.
+    ``matrix_session`` routes the unate checks through the session's
+    dual-rail solver, which is dropped here the moment the unate pass
+    ends — even when that pass unwinds on an expired deadline.  The
+    session solver the verify–repair loop queries never held the dual
+    rail's clauses or variables; it keeps only the committed units.
 
     ``fixed`` / ``stats`` are optional in-place accumulators: when the
     deadline expires mid-pass, everything fixed up to that point is

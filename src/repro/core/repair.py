@@ -2,7 +2,15 @@
 
 Given a counterexample σ, ``FindCandi`` (a MaxSAT call with
 ``ϕ ∧ (X ↔ σ[X])`` hard and ``(Y ↔ σ[Y′])`` soft) names the candidates to
-repair.  For each repair candidate ``yk`` the formula
+repair.  It runs Fu–Malik on the engine's persistent ϕ-solver (the
+:class:`~repro.core.sessions.MatrixSession`), as the paper's
+implementation runs an incremental Open-WBO: ``σ[X]`` and the unit
+softs go in as assumptions, the call's relaxation clauses live in one
+clause group that it releases, and the variables it reserved are fixed
+at level 0 (:func:`~repro.maxsat.fumalik.fu_malik_on`).  The session
+keeps its learnt clauses over ``ϕ`` from one call to the next, and a
+backend failure mid-call fails the session over and runs the whole call
+again.  For each repair candidate ``yk`` the formula
 
     Gk := ϕ ∧ (Hk ↔ σ[Hk]) ∧ (Ŷ ↔ σ[Ŷ]) ∧ (yk ↔ σ[y′k])
 
@@ -33,7 +41,9 @@ from collections import deque
 
 from repro.formula import boolfunc as bf
 from repro.formula.bitvec import evaluate_vector_bits, refresh_vector_bits
-from repro.maxsat import solve_maxsat
+# FindCandi calls Fu–Malik through the name ``solve_maxsat``, which
+# ``perfbench/tracing.py`` wraps as the ``maxsat.solve`` span.
+from repro.maxsat import fu_malik_on as solve_maxsat
 from repro.sat.solver import SAT, UNSAT
 from repro.utils.errors import ResourceBudgetExceeded
 from repro.utils.rng import spawn
@@ -42,16 +52,17 @@ from repro.utils.rng import spawn
 def run_repair(ctx, sigma_x):
     """Pipeline entry: process one counterexample against the context.
 
-    Spawns the per-iteration RNG stream (salt ``200 + iteration``, part
-    of the trajectory contract; see :mod:`repro.core.context`) and
-    threads the context's loop state — retired candidates, repair
+    Threads the context's loop state — retired candidates, repair
     counts, counterexample matrix, evaluation program — into
-    :func:`repair_iteration`.
+    :func:`repair_iteration`.  The round's repair stream (salt ``200 +
+    iteration``) is still drawn, although nothing reads it since
+    ``FindCandi`` runs on the session solver: the sequence of draws is
+    part of the trajectory contract (see :mod:`repro.core.context`).
     """
+    spawn(ctx.rng, 200 + ctx.iteration)
     return repair_iteration(ctx.instance, ctx.candidates, ctx.tracker,
                             ctx.order, sigma_x, ctx.config,
                             fixed=ctx.non_repairable,
-                            rng=spawn(ctx.rng, 200 + ctx.iteration),
                             deadline=ctx.deadline,
                             repair_counts=ctx.repair_counts,
                             matrix_session=ctx.matrix_session,
@@ -72,14 +83,17 @@ def evaluate_vector(candidates, order, x_assignment):
 
 
 def find_repair_candidates(instance, sigma_x, outputs, repairable,
-                           rng=None, deadline=None):
-    """``FindCandi``: MaxSAT-select the candidates to repair."""
-    hard = instance.matrix.copy()
-    for x in instance.universals:
-        hard.add_unit(x if sigma_x[x] else -x)
+                           matrix_session, deadline=None):
+    """``FindCandi``: MaxSAT-select the candidates to repair.
+
+    One Fu–Malik call on ``matrix_session`` under the assumptions
+    ``σ[X]``; returns ``None`` when ``ϕ ∧ (X ↔ σ[X])`` is UNSAT.
+    """
+    assumptions = [x if sigma_x[x] else -x for x in instance.universals]
     repairable = list(repairable)
     softs = [[y if outputs[y] else -y] for y in repairable]
-    result = solve_maxsat(hard, softs, rng=rng, deadline=deadline)
+    result = matrix_session.run("maxsat", lambda solver: solve_maxsat(
+        solver, softs, assumptions=assumptions, deadline=deadline))
     if not result.satisfiable:
         return None  # ϕ ∧ (X ↔ σ[X]) UNSAT: cannot happen after line 13
     return [repairable[i] for i in result.falsified]
@@ -87,16 +101,15 @@ def find_repair_candidates(instance, sigma_x, outputs, repairable,
 
 def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
                      *, matrix_session, cex_matrix, program, fixed=(),
-                     rng=None, deadline=None, repair_counts=None):
+                     deadline=None, repair_counts=None):
     """Process one counterexample; mutates ``candidates``.
 
     Returns the number of candidate functions modified (0 signals the
     incompleteness condition of §5 when it persists).  When
     ``repair_counts`` (a dict) is supplied, per-candidate modification
     counts are accumulated into it — the engine uses them to trigger the
-    self-substitution fallback.  The ``Gk`` checks are assumption
-    queries against ``matrix_session``, the engine's persistent
-    ϕ-solver.
+    self-substitution fallback.  ``FindCandi`` and the ``Gk`` checks
+    run on ``matrix_session``, the engine's persistent ϕ-solver.
 
     ``cex_matrix`` (a :class:`~repro.formula.bitvec.SampleMatrix` over
     the universal variables, owned by the engine) gets σ appended as a
@@ -116,7 +129,7 @@ def repair_iteration(instance, candidates, tracker, order, sigma_x, config,
 
     repairable = [y for y in instance.existentials if y not in fixed]
     ind = find_repair_candidates(instance, sigma_x, outputs, repairable,
-                                 rng=rng, deadline=deadline)
+                                 matrix_session, deadline=deadline)
     if ind is None:
         return 0
     queue = deque(ind)

@@ -15,11 +15,15 @@ instead (MiniSat-style incremental solving under assumptions):
 * :class:`MatrixSession` — one persistent solver over ``ϕ`` shared by
   every assumption-driven matrix oracle: the verification extension
   check, ``repair_iteration``'s per-candidate ``Gk`` checks, and
-  preprocessing's unate checks.  Unate checks need ``¬ϕ`` of a second
-  variable copy; that *dual rail* (primed copy + per-variable equality
-  selectors) is built lazily inside one clause group and released the
-  moment preprocessing ends, so the loop's extension/``Gk`` calls never
-  pay for it.
+  ``FindCandi``'s MaxSAT calls (Fu–Malik on the session solver, with
+  ``σ[X]`` as assumptions; each call's relaxation clauses sit in one
+  clause group that the call releases, and the variables it reserved
+  are fixed at level 0).  So every query decides only variables that
+  are still live.  Preprocessing's unate checks need ``¬ϕ`` over a
+  second variable copy; that *dual rail* (primed copy + per-variable
+  equality selectors) gets its own solver (:class:`DualRail`), built on
+  the first unate check and dropped the moment preprocessing ends, so
+  none of its variables ever reaches the session solver.
 
 Both sessions expose ``stats()`` so the engine can report per-oracle
 call/conflict/encode-reuse counters.  They are the engine's only
@@ -40,8 +44,9 @@ BackendUnavailableError`, ``MemoryError``) is survivable: both
 sessions keep everything needed to rebuild — the instance/matrix, the
 committed units, the hash-consed candidate exprs — so on failure they
 walk ``Manthan3Config.sat_backend_fallbacks``, construct the next
-backend in the chain, replay their live clause groups, and retry the
-interrupted call.  The failed solver's RNG object is carried over, so
+backend in the chain, replay their permanent state, and run the
+interrupted query again from its start (a whole ``FindCandi`` call, a
+whole unate check).  The failed solver's RNG object is carried over, so
 a backend that dies before consuming randomness hands the unconsumed
 stream to its replacement.  Failovers are counted per session and
 surface under ``stats["oracle"]["failovers"]``.
@@ -53,7 +58,8 @@ from repro.sat.backend import BackendUnavailableError, make_backend
 from repro.sat.solver import UNSAT
 from repro.utils.rng import spawn
 
-__all__ = ["VerifierSession", "MatrixSession", "build_sessions"]
+__all__ = ["DualRail", "MatrixSession", "VerifierSession",
+           "build_sessions"]
 
 #: Backend failures a session recovers from by rebuilding on the
 #: fallback chain.  Everything else propagates unchanged.
@@ -201,18 +207,58 @@ class VerifierSession:
         }
 
 
+class DualRail:
+    """The unate checks' own solver: ``ϕ``, the committed units, and
+    ``¬ϕ`` over a primed variable copy.
+
+    For every matrix variable ``v`` there is a primed twin ``v'`` and an
+    equality selector ``e_v`` with ``e_v → (v ↔ v')``; ``¬ϕ`` over the
+    primed variables is Tseitin-encoded to the literal ``neg_out``.  A
+    unate check is then a single assumption query — no formula
+    construction per check.
+    """
+
+    def __init__(self, matrix, units, backend, rng=None):
+        self.solver = solver = make_backend(backend, matrix, rng=rng)
+        for literal in units:
+            solver.add_clause((literal,))
+        variables = range(1, matrix.num_vars + 1)
+        self.prime = {v: solver.reserve_var() for v in variables}
+        self.eq = {v: solver.reserve_var() for v in variables}
+        for v in variables:
+            vp, ev = self.prime[v], self.eq[v]
+            solver.add_clause((-ev, -v, vp))
+            solver.add_clause((-ev, v, -vp))
+        encoder = TseitinEncoder(SolverSink(solver))
+        self.neg_out = encoder.encode(
+            negated_cnf_expr(matrix.relabeled(self.prime)))
+
+    def solve(self, y, positive, deadline=None):
+        """Is ``ϕw|_{y=¬v} ∧ ¬(ϕw|_{y=v})`` satisfiable?  (``v =
+        positive``; ``ϕw`` is ``ϕ`` plus the units, which the primed
+        side sees through the assumed equality selectors.)"""
+        assumptions = [self.neg_out]
+        assumptions += [e for v, e in self.eq.items() if v != y]
+        if positive:
+            assumptions += [-y, self.prime[y]]
+        else:
+            assumptions += [y, -self.prime[y]]
+        return self.solver.solve(assumptions=assumptions, deadline=deadline)
+
+
 class MatrixSession:
     """One persistent solver over ``ϕ`` for every matrix-side oracle.
 
-    The extension check and the ``Gk`` repair checks are pure
-    assumption queries against ``ϕ`` and share the solver as-is.  Unate
-    checks additionally need ``¬ϕ`` over a primed variable copy; see
-    :meth:`unate_check`.
+    The extension check and the ``Gk`` repair checks are assumption
+    queries against ``ϕ`` (:meth:`solve`); ``FindCandi`` runs Fu–Malik
+    on the same solver through :meth:`run`.  Unate checks run on a
+    :class:`DualRail` of their own; see :meth:`unate_check`.
 
     Unate constants found during preprocessing are committed with
     :meth:`add_unit` — sound for every later query because a unate
     output's constant, by definition, preserves (ex)tensibility of
-    every X assignment, and because the committed value is exactly the
+    every X assignment (and so the optimum of every ``FindCandi`` over
+    the other outputs), and because the committed value is exactly the
     retired candidate the rest of the loop carries for that variable.
     """
 
@@ -222,33 +268,34 @@ class MatrixSession:
         self.failovers = 0
         self._retired_conflicts = 0
         self._units = []       # committed units, replayed on failover
+        self._dual = None      # the unate checks' DualRail, while live
         self.calls = {}
         self._install(backend, rng)
 
     def _install(self, backend, rng):
-        """(Re)build the solver: ``ϕ`` plus every committed unit.
-
-        The dual rail is *not* replayed — it is reset and lazily
-        rebuilt by the next :meth:`unate_check`, exactly as on first
-        use (and not at all if preprocessing is already past it).
-        """
+        """(Re)build the solver: ``ϕ`` plus every committed unit."""
+        self.backend = backend
         self.solver = make_backend(backend, self.matrix, rng=rng)
         for literal in self._units:
             self.solver.add_clause((literal,))
-        self._dual_group = None
-        self._prime = None     # var -> primed copy var
-        self._eq = None        # var -> equality selector var
-        self._neg_out = None   # literal ⇔ ¬ϕ(primed vars)
 
-    def _failover(self, exc):
-        """Swap the dead solver for the next fallback-chain backend,
-        carrying over its RNG object and banking its conflicts; see
-        :meth:`VerifierSession._failover`."""
-        rng = getattr(self.solver, "rng", None)
+    def _bank(self, solver):
+        """Fold a solver's conflicts into the session's running total
+        before the solver is dropped (a dead backend may not answer)."""
         try:
-            self._retired_conflicts += self.solver.stats()["conflicts"]
+            self._retired_conflicts += solver.stats()["conflicts"]
         except Exception:
             pass
+
+    def _failover(self, exc):
+        """Swap the dead backend for the next one in the fallback chain,
+        carrying over the session solver's RNG object and banking its
+        conflicts; see :meth:`VerifierSession._failover`.  The dual rail
+        is dropped too; the next :meth:`unate_check` rebuilds it on the
+        new backend."""
+        rng = getattr(self.solver, "rng", None)
+        self._bank(self.solver)
+        self.retire_dual()
         while self._fallbacks:
             name = self._fallbacks.pop(0)
             try:
@@ -259,25 +306,28 @@ class MatrixSession:
             return
         raise exc
 
-    def _query(self, assumptions, purpose, deadline):
-        """One raw assumption query — no retry (callers own that)."""
-        self.calls[purpose] = self.calls.get(purpose, 0) + 1
-        return self.solver.solve(assumptions=assumptions, deadline=deadline)
+    def run(self, purpose, query):
+        """``query(solver)`` on the session solver; ``purpose`` tags the
+        stats.
 
-    def solve(self, assumptions, purpose="matrix", deadline=None):
-        """Assumption query against ``ϕ``; ``purpose`` tags the stats.
-
-        Retries through the fallback chain on backend failure — safe
-        because extension/``Gk`` assumptions reference only matrix
-        variables, which every rebuilt solver shares.  (Unate queries
-        go through :meth:`unate_check`, whose retry also rebuilds the
-        dual-rail assumptions.)
+        On backend failure the session fails over and runs the whole
+        query again on the rebuilt solver, which holds the same ``ϕ``
+        and units — so a query must keep no solver state between
+        attempts (a ``FindCandi`` call opens its clause group inside
+        ``query``).
         """
         while True:
+            self.calls[purpose] = self.calls.get(purpose, 0) + 1
             try:
-                return self._query(assumptions, purpose, deadline)
+                return query(self.solver)
             except _ORACLE_FAILURES as exc:
                 self._failover(exc)
+
+    def solve(self, assumptions, purpose="matrix", deadline=None):
+        """Assumption query against ``ϕ``, retried through the fallback
+        chain (see :meth:`run`)."""
+        return self.run(purpose, lambda solver: solver.solve(
+            assumptions=assumptions, deadline=deadline))
 
     @property
     def model(self):
@@ -290,93 +340,48 @@ class MatrixSession:
     def add_unit(self, literal):
         """Permanently commit a unit (unate constants).
 
-        The unit is recorded before it reaches the solver, so a
-        failover mid-add still replays it — ``_install`` asserts the
-        full committed list on the replacement backend.
+        The unit is recorded before it reaches a solver, so a failover
+        mid-add still replays it — ``_install`` asserts the full
+        committed list on the replacement backend, and so does the next
+        :class:`DualRail` built.
         """
         self._units.append(literal)
         try:
             self.solver.add_clause((literal,))
+            if self._dual is not None:
+                self._dual.solver.add_clause((literal,))
         except _ORACLE_FAILURES as exc:
             self._failover(exc)
-
-    # ------------------------------------------------------------------
-    # dual rail (unate checks)
-    # ------------------------------------------------------------------
-    def _ensure_dual(self):
-        """Build the primed copy apparatus, once, inside one group.
-
-        For every matrix variable ``v`` allocate a primed twin ``v'``
-        and an equality selector ``e_v`` with ``e_v → (v ↔ v')``, then
-        Tseitin-encode ``¬ϕ`` over the primed variables to a literal
-        ``neg_out``.  A unate check is then a single assumption query —
-        no formula construction per check.
-        """
-        if self._prime is not None:
-            return
-        solver = self.solver
-        group = solver.new_group()
-        num_vars = self.matrix.num_vars
-        self._prime = {v: solver.reserve_var()
-                       for v in range(1, num_vars + 1)}
-        self._eq = {v: solver.reserve_var()
-                    for v in range(1, num_vars + 1)}
-        for v in range(1, num_vars + 1):
-            vp, ev = self._prime[v], self._eq[v]
-            solver.add_clause((-ev, -v, vp), group=group)
-            solver.add_clause((-ev, v, -vp), group=group)
-        primed = self.matrix.relabeled(self._prime)
-        sink = SolverSink(solver, group=group)
-        encoder = TseitinEncoder(sink)
-        self._neg_out = encoder.encode(negated_cnf_expr(primed))
-        self._dual_group = group
 
     def unate_check(self, y, positive, deadline=None):
         """Is ``ϕw|_{y=¬v} ∧ ¬(ϕw|_{y=v})`` UNSAT?  (``v = positive``.)
 
-        ``ϕw`` is ``ϕ`` plus the units committed so far — the primed
-        side sees them through the assumed equality selectors, so the
-        check matches the session-free cofactor check's working-matrix
-        semantics.  Returns ``True`` only on a definitive UNSAT (an
+        ``ϕw`` is ``ϕ`` plus the units committed so far, which matches
+        the session-free cofactor check's working-matrix semantics.  The
+        first check builds the :class:`DualRail` on the session's
+        backend.  Returns ``True`` only on a definitive UNSAT (an
         exhausted budget is *not* unate, as in the cofactor check).
-
-        The retry loop is unate-specific: the query's assumptions name
-        dual-rail variables that a failover invalidates, so each retry
-        re-runs ``_ensure_dual`` (a fresh build on the rebuilt solver)
-        and derives the assumptions anew.
         """
-        while True:
-            try:
-                self._ensure_dual()
-                assumptions = [self._neg_out]
-                assumptions += [self._eq[v]
-                                for v in range(1, self.matrix.num_vars + 1)
-                                if v != y]
-                if positive:
-                    assumptions += [-y, self._prime[y]]
-                else:
-                    assumptions += [y, -self._prime[y]]
-                status = self._query(assumptions, "unate", deadline)
-            except _ORACLE_FAILURES as exc:
-                self._failover(exc)
-                continue
-            return status == UNSAT
+        def query(_):
+            if self._dual is None:
+                self._dual = DualRail(self.matrix, self._units,
+                                      self.backend,
+                                      rng=getattr(self.solver, "rng", None))
+            return self._dual.solve(y, positive, deadline=deadline)
+
+        return self.run("unate", query) == UNSAT
 
     def retire_dual(self):
-        """Release the unate apparatus once preprocessing is over, so
-        the loop's extension/``Gk`` queries never carry its clauses."""
-        if self._dual_group is None:
-            return
-        try:
-            self.solver.release_group(self._dual_group)
-        except _ORACLE_FAILURES as exc:
-            self._failover(exc)  # the rebuilt solver carries no dual rail
-        else:
-            self._dual_group = None
+        """Drop the unate checks' solver once preprocessing is over."""
+        if self._dual is not None:
+            self._bank(self._dual.solver)
+            self._dual = None
 
     def stats(self):
         out = {"calls_%s" % k: v for k, v in sorted(self.calls.items())}
-        out["conflicts"] = (self.solver.stats()["conflicts"]
-                            + self._retired_conflicts)
+        conflicts = self.solver.stats()["conflicts"] + self._retired_conflicts
+        if self._dual is not None:
+            conflicts += self._dual.solver.stats()["conflicts"]
+        out["conflicts"] = conflicts
         out["failovers"] = self.failovers
         return out

@@ -14,7 +14,20 @@ pairs, so the obvious identities (``x ∧ ¬x = 0`` …) hold by construction.
 Variables are positive integers, matching the DIMACS variable space of the
 CNF layer, which makes substitution between the two representations
 trivial.
+
+The hash-consing table holds its nodes *weakly*: a node lives exactly as
+long as something outside the table holds it, so a long-lived worker
+that solves many distinct instances does not accumulate every node it
+ever built.  The table's key names children by ``id()``; that is sound
+because a node holds its children, so no child's id is reused while a
+key naming it is alive.  The same rule binds every other memo: **no
+memo keyed by ``id()`` may outlive its DAG.**  A per-traversal memo
+(the walks below) lives only for one call whose caller holds the DAG; a
+memo that outlives a call, such as a Tseitin encoder's, keys by the node
+itself, which keeps the node alive while the memo is.
 """
+
+import weakref
 
 from repro.utils.errors import ReproError
 
@@ -30,7 +43,24 @@ OP_XOR = "xor"
 _OP_CODES = {OP_CONST: 0, OP_VAR: 1, OP_NOT: 2, OP_AND: 3, OP_OR: 4,
              OP_XOR: 5}
 
+#: The hash-consing table: key -> :class:`_Entry`, a weak reference to
+#: the node.  A plain dict with a removal callback does the job of a
+#: ``weakref.WeakValueDictionary`` without its Python-level ``get`` and
+#: ``__setitem__`` on every constructor call.
 _INTERN = {}
+
+
+class _Entry(weakref.ref):
+    """A table entry: a weak reference to a node that knows its key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(entry, table=_INTERN):
+    """Drop a dead node's entry (a newer node's entry under the same key
+    stays)."""
+    if table.get(entry.key) is entry:
+        del table[entry.key]
 
 
 class BoolExpr:
@@ -40,7 +70,8 @@ class BoolExpr:
     constructors so that interning and simplification apply.
     """
 
-    __slots__ = ("op", "children", "payload", "_hash", "_support")
+    __slots__ = ("op", "children", "payload", "_hash", "_support",
+                 "__weakref__")
 
     def __init__(self, op, children=(), payload=None):
         self.op = op
@@ -268,11 +299,13 @@ class BoolExpr:
 
 
 def _intern(op, children=(), payload=None):
-    key = (op, payload, tuple(id(c) for c in children))
-    node = _INTERN.get(key)
+    key = (op, payload, *map(id, children))
+    entry = _INTERN.get(key)
+    node = None if entry is None else entry()
     if node is None:
         node = BoolExpr(op, children, payload)
-        _INTERN[key] = node
+        entry = _INTERN[key] = _Entry(node, _forget)
+        entry.key = key
     return node
 
 

@@ -6,12 +6,14 @@ equivalent to the expression.  Shared DAG nodes are encoded once per
 encoder instance, so composed candidates with heavy sharing stay compact.
 
 Because :mod:`repro.formula.boolfunc` hash-conses every node, the
-id-keyed definition cache *is* structural hashing: an encoder kept alive
-across a synthesis loop re-encodes only the nodes it has never seen.  A
-repaired candidate ``f ∧ ¬β`` therefore costs exactly the defining
-clauses of the new ``β`` subtree — every Tseitin variable of ``f`` is
-reused.  The :attr:`~TseitinEncoder.hits`/:attr:`~TseitinEncoder.misses`
-counters expose that reuse to the engine's oracle stats.
+definition cache (keyed by the node itself, which keeps every encoded
+node alive as long as the encoder) *is* structural hashing: an encoder
+kept alive across a synthesis loop re-encodes only the nodes it has
+never seen.  A repaired candidate ``f ∧ ¬β`` therefore costs exactly
+the defining clauses of the new ``β`` subtree — every Tseitin variable
+of ``f`` is reused.  The :attr:`~TseitinEncoder.hits`/
+:attr:`~TseitinEncoder.misses` counters expose that reuse to the
+engine's oracle stats.
 
 The target can be a plain CNF or, via :class:`SolverSink`, a live
 :class:`~repro.sat.solver.Solver` — the incremental oracle sessions
@@ -80,30 +82,30 @@ class TseitinEncoder:
         Postorder iterative traversal; every distinct node gets exactly one
         definition variable per encoder.
         """
+        cache = self._cache
         stack = [(expr, False)]
         while stack:
             node, expanded = stack.pop()
-            key = id(node)
-            if key in self._cache:
+            if node in cache:
                 if not expanded:
                     self.hits += 1
                 continue
             if node.op == bf.OP_CONST:
                 self.misses += 1
                 t = self.true_literal()
-                self._cache[key] = t if node.payload else -t
+                cache[node] = t if node.payload else -t
             elif node.op == bf.OP_VAR:
                 self.misses += 1
-                self._cache[key] = node.payload
+                cache[node] = node.payload
             elif not expanded:
                 stack.append((node, True))
                 for child in node.children:
                     stack.append((child, False))
             else:
                 self.misses += 1
-                lits = [self._cache[id(c)] for c in node.children]
-                self._cache[key] = self._define(node.op, lits)
-        return self._cache[id(expr)]
+                lits = [cache[c] for c in node.children]
+                cache[node] = self._define(node.op, lits)
+        return cache[expr]
 
     def _define(self, op, lits):
         """Allocate and constrain a definition variable for one gate.

@@ -2,24 +2,30 @@
 
 Given hard clauses and *soft* clauses, find a model of the hards that
 maximizes the number of satisfied softs.  Manthan3's ``FindCandi``
-(Algorithm 3, line 2) calls this with ``ϕ ∧ (X ↔ σ[X])`` hard and the
-unit clauses ``(yi ↔ σ[y'_i])`` soft; the falsified softs name the repair
-candidates.
+(Algorithm 3, line 2) asks for this with ``ϕ ∧ (X ↔ σ[X])`` hard and
+the unit clauses ``(yi ↔ σ[y'_i])`` soft; the falsified softs name the
+repair candidates.
 
 Two complete algorithms are provided:
 
-* :func:`~repro.maxsat.fumalik.fu_malik` — core-guided (Fu–Malik/WPM1),
-  repeatedly relaxes UNSAT cores with fresh blocking variables; the
-  engines use it;
+* :func:`~repro.maxsat.fumalik.fu_malik_on` — core-guided Fu–Malik
+  (WPM1) on a live SAT backend whose clauses are the hards, under
+  assumptions that act as extra hards for one call.  Each call's
+  relaxation clauses live in one clause group that the call releases,
+  and the variables it reserved are fixed at level 0, so the backend
+  stays fit for its other queries.  ``FindCandi`` runs it on the
+  engine's persistent ϕ-solver with ``σ[X]`` as the assumptions;
+  :func:`~repro.maxsat.fumalik.fu_malik` runs it on a solver built from
+  a CNF;
 * :func:`~repro.maxsat.linear.linear_search` — model-improving LSU search
   with a sequential-counter cardinality encoding; the cost oracle the
   tests check Fu–Malik against.
 
-:func:`solve_maxsat` is the facade used by the engines.
+:func:`solve_maxsat` picks one of the two for a CNF of hards.
 """
 
 from repro.maxsat.types import MaxSatResult, SoftClause
-from repro.maxsat.fumalik import fu_malik
+from repro.maxsat.fumalik import fu_malik, fu_malik_on
 from repro.maxsat.linear import linear_search
 from repro.maxsat.cardinality import encode_at_most_k
 
@@ -52,6 +58,7 @@ def solve_maxsat(hard, softs, algorithm="fu-malik", rng=None, deadline=None):
 __all__ = [
     "solve_maxsat",
     "fu_malik",
+    "fu_malik_on",
     "linear_search",
     "MaxSatResult",
     "SoftClause",

@@ -67,6 +67,9 @@ answer against the formula itself, and the trajectory suite
 campaign-level equivalence.
 """
 
+from itertools import compress
+from operator import not_
+
 from repro.sat.solver import SAT, UNSAT, UNKNOWN, Solver
 from repro.utils.errors import ReproError
 
@@ -186,9 +189,8 @@ class GroupEmulationBackend(SatBackend):
     """
 
     def __init__(self):
-        self._group_selector = {}   # group id -> selector var
-        self._selector_group = {}   # selector var -> group id
-        self._released = set()
+        self._selector_group = {}   # selector var -> group id, ever
+        self._live = {}             # live group id -> selector, id order
         self._next_group = 0
         self._model = None
         self._core = None
@@ -220,44 +222,42 @@ class GroupEmulationBackend(SatBackend):
                         "literal %d references a group selector; reserve "
                         "problem variables before opening groups" % l)
         if group is not None:
-            if group not in self._group_selector:
-                raise ReproError("unknown clause group %r" % (group,))
-            if group in self._released:
+            selector = self._live.get(group)
+            if selector is None:
+                if group not in range(self._next_group):
+                    raise ReproError("unknown clause group %r" % (group,))
                 raise ReproError("clause group %r is released" % (group,))
-            lits = lits + [-self._group_selector[group]]
+            lits = lits + [-selector]
         return self._raw_add_clause(lits)
 
     def new_group(self):
         selector = self.reserve_var()
         group = self._next_group
         self._next_group += 1
-        self._group_selector[group] = selector
         self._selector_group[selector] = group
+        self._live[group] = selector
         return group
 
     def release_group(self, group):
-        if group not in self._group_selector:
+        if group not in range(self._next_group):
             raise ReproError("unknown clause group %r" % (group,))
-        if group in self._released:
-            return
-        self._released.add(group)
-        self._raw_add_clause([-self._group_selector[group]])
+        selector = self._live.pop(group, None)
+        if selector is not None:
+            self._raw_add_clause([-selector])
 
     def solve(self, assumptions=(), conflict_budget=None, deadline=None):
         self._model = None
         self._core = None
         assumptions = [int(l) for l in assumptions]
-        selectors = [self._group_selector[g]
-                     for g in sorted(self._group_selector)
-                     if g not in self._released]
-        status = self._raw_solve(selectors + assumptions, conflict_budget,
-                                 deadline)
+        status = self._raw_solve(list(self._live.values()) + assumptions,
+                                 conflict_budget, deadline)
         if status == SAT:
             model = self._raw_model()
             for l in assumptions:
                 model.setdefault(abs(l), l > 0)
-            self._model = {v: b for v, b in model.items()
-                           if v not in self._selector_group}
+            # No Python loop over the selectors ever opened.
+            self._model = dict(compress(model.items(), map(not_, map(
+                self._selector_group.__contains__, model))))
         elif status == UNSAT:
             core = self._raw_core() or []
             self._core = [l for l in core

@@ -62,7 +62,8 @@ and counters): a speed-up in this style must leave its digest as is.
 """
 
 from heapq import heappop, heappush
-from operator import neg
+from itertools import compress
+from operator import neg, not_
 
 from repro.utils.errors import ReproError
 from repro.utils.rng import make_rng
@@ -736,13 +737,8 @@ class Solver:
                                   deadline, max_learnts)
             if status is not None:
                 self._cancel_until(0)
-                if self._selector_group:
-                    if status == SAT:
-                        drop = self.model.pop
-                        for v in self._selector_group:
-                            drop(v, None)
-                    elif status == UNSAT and self.core:
-                        self.core = self._mask_selectors(self.core)
+                if status == UNSAT and self.core and self._selector_group:
+                    self.core = self._mask_selectors(self.core)
                 return status
             self.restarts += 1
             if conflict_budget is not None and \
@@ -826,8 +822,15 @@ class Solver:
             if next_lit is None:
                 v = self._pick_branch_var()
                 if v is None:
-                    self.model = dict(zip(range(1, self.num_vars + 1),
-                                          map(bool, assigns[1:])))
+                    # Selectors ever opened are dropped in the pass that
+                    # builds the model: no Python loop over the groups.
+                    variables = range(1, self.num_vars + 1)
+                    pairs = zip(variables, map(bool, assigns[1:]))
+                    selectors = self._selector_group
+                    if selectors:
+                        pairs = compress(pairs, map(not_, map(
+                            selectors.__contains__, variables)))
+                    self.model = dict(pairs)
                     return SAT
                 next_lit = v if self._pick_polarity(v) else -v
             self.decisions += 1

@@ -173,6 +173,32 @@ class TestEngineResilienceEquivalence:
         assert recovered.stats["oracle"]["failovers"] >= 1
         assert clean.stats["oracle"]["failovers"] == 0
 
+    @pytest.mark.parametrize("plan", ["new_group@1=unavailable",
+                                      "release_group@1=memory"])
+    def test_failover_inside_findcandi(self, plan, monkeypatch):
+        """Only ``FindCandi`` opens and releases clause groups on the
+        matrix session, so these plans kill its backend at the start or
+        at the end of the first ``FindCandi`` call.  The session fails
+        over and runs the whole call again."""
+        from repro.benchgen import generate_planted_instance
+
+        # Unlike the fixture's instance, this one needs repair rounds.
+        instance = generate_planted_instance(
+            num_universals=14, num_existentials=3, dep_width=12,
+            region_width=3, rules_per_y=4, seed=11)
+        monkeypatch.delenv(PLAN_ENV, raising=False)
+        clean = self._run(instance)
+        monkeypatch.setenv(PLAN_ENV, plan)
+        recovered = self._run(instance, sat_backend="faulty:python",
+                              sat_backend_fallbacks=["python"])
+        matrix = recovered.stats["oracle"]["matrix"]
+        assert matrix["failovers"] >= 1
+        assert matrix["calls_maxsat"] > \
+            clean.stats["oracle"]["matrix"]["calls_maxsat"] >= 1
+        assert recovered.stats["oracle"]["failovers"] >= 1
+        assert recovered.status == clean.status == Status.SYNTHESIZED
+        assert check_henkin_vector(instance, recovered.functions).valid
+
     def test_seeded_chaos_runs_are_deterministic_and_sound(
             self, instance, monkeypatch):
         monkeypatch.setenv(

@@ -46,12 +46,14 @@ class TestFindRepairCandidates:
     def test_selects_falsified_soft(self):
         # ϕ = (y ↔ x); X = {x=1}; candidate output y=0 → must repair y.
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
-        ind = find_repair_candidates(inst, {1: True}, {2: False}, [2])
+        ind = find_repair_candidates(inst, {1: True}, {2: False}, [2],
+                                     MatrixSession(inst.matrix))
         assert ind == [2]
 
     def test_correct_candidate_not_selected(self):
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
-        ind = find_repair_candidates(inst, {1: True}, {2: True}, [2])
+        ind = find_repair_candidates(inst, {1: True}, {2: True}, [2],
+                                     MatrixSession(inst.matrix))
         assert ind == []
 
     def test_minimality(self):
@@ -60,7 +62,8 @@ class TestFindRepairCandidates:
         inst = make([1], {2: [1], 3: [1]},
                     [[-2, 1], [2, -1], [-3, 1], [3, -1]])
         ind = find_repair_candidates(inst, {1: True},
-                                     {2: True, 3: False}, [2, 3])
+                                     {2: True, 3: False}, [2, 3],
+                                     MatrixSession(inst.matrix))
         assert ind == [3]
 
 

@@ -4,6 +4,9 @@ with the session-free reference kernel (``verify_candidates`` and
 engine's verdicts agree with the independent checkers.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.benchgen import (
@@ -12,7 +15,7 @@ from repro.benchgen import (
 )
 from repro.core import Manthan3, Manthan3Config, Status
 from repro.core.preprocess import detect_unates
-from repro.core.repair import repair_iteration
+from repro.core.repair import find_repair_candidates, repair_iteration
 from repro.core.sessions import MatrixSession, VerifierSession
 from repro.core.verifier import verify_candidates
 from repro.core.candidates import DependencyTracker
@@ -88,10 +91,13 @@ class TestMatrixSessionUnates:
         inst = self.CASES[0]
         session = MatrixSession(inst.matrix)
         detect_unates(inst, matrix_session=session)
-        live = sum(not c.deleted for c in session.solver.clauses)
+        # The dual rail lives in a solver of its own: the session solver
+        # never holds a primed variable.
+        assert session.solver.num_vars == inst.matrix.num_vars
+        dual = weakref.ref(session._dual.solver)
         session.retire_dual()
-        # Dual clauses are dead (unhooked; compaction may be deferred).
-        assert sum(not c.deleted for c in session.solver.clauses) < live
+        gc.collect()
+        assert dual() is None
         # Extension-style queries still work after retirement.
         assert session.solve([1], purpose="extension") in (SAT, UNSAT)
 
@@ -103,6 +109,49 @@ class TestMatrixSessionUnates:
         detect_unates(inst, matrix_session=session)  # builds + uses dual
         assert session.solve([-1], purpose="extension") == SAT
         assert session.model[2] is True
+
+
+class TestFindCandiOnSession:
+    """``FindCandi`` runs Fu–Malik on the matrix session itself."""
+
+    # ϕ = (y2 ↔ x1) ∧ (y3 ↔ ¬x1) ∧ (y4 ∨ x1)
+    INST = make([1], {2: [1], 3: [1], 4: [1]},
+                [[-2, 1], [2, -1], [-3, -1], [3, 1], [4, 1]])
+
+    @staticmethod
+    def unassigned(session):
+        return session.solver.assigns[1:].count(None)
+
+    def test_root_level_fixing_keeps_decisions_flat(self):
+        """The variables each call reserves are fixed at level 0, so
+        200 calls leave no more unassigned decision variables than 1."""
+        inst = self.INST
+        session = MatrixSession(inst.matrix)
+        wrong = {2: False, 3: False, 4: False}
+        assert find_repair_candidates(inst, {1: True}, wrong, [2, 3, 4],
+                                      session) == [2]
+        after_one = self.unassigned(session)
+        for i in range(199):
+            sigma_x = {1: bool(i % 2)}
+            ind = find_repair_candidates(inst, sigma_x, wrong, [2, 3, 4],
+                                         session)
+            assert ind == ([2] if sigma_x[1] else [3, 4])
+        assert self.unassigned(session) <= after_one
+        assert session.stats()["calls_maxsat"] == 200
+        # Plain queries still see exactly ϕ.
+        assert session.solve([1, -2], purpose="extension") == UNSAT
+        assert session.solve([-1, -4], purpose="extension") == UNSAT
+        assert session.solve([-1], purpose="extension") == SAT
+
+    def test_unsat_hard_under_sigma_returns_none(self):
+        # ϕ = (x1 ∨ y2) ∧ (x1 ∨ ¬y2): UNSAT once x1 = 0.
+        inst = make([1], {2: [1]}, [[1, 2], [1, -2]])
+        session = MatrixSession(inst.matrix)
+        assert find_repair_candidates(inst, {1: False}, {2: True}, [2],
+                                      session) is None
+        # The session is unharmed: x1 = 1 still extends.
+        assert find_repair_candidates(inst, {1: True}, {2: True}, [2],
+                                      session) == []
 
 
 class TestRepairWithSession:

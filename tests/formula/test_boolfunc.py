@@ -214,3 +214,26 @@ def test_demorgan_holds(a, b, bits):
     lhs = bf.not_(bf.and_(a, b))
     rhs = bf.or_(bf.not_(a), bf.not_(b))
     assert lhs.evaluate(env) == rhs.evaluate(env)
+
+
+class TestWeakInterning:
+    def test_table_returns_to_base_size_after_distinct_solves(self):
+        """The hash-consing table holds nodes weakly: once a solve's
+        results are dropped, its nodes leave the table."""
+        import gc
+
+        from repro.benchgen import generate_planted_instance
+        from repro.core import Manthan3, Manthan3Config
+
+        gc.collect()
+        base = len(bf._INTERN)
+        for seed in (11, 12, 14, 16):
+            inst = generate_planted_instance(
+                num_universals=14, num_existentials=3, dep_width=12,
+                region_width=3, rules_per_y=4, seed=seed)
+            result = Manthan3(Manthan3Config(seed=9)).run(inst, timeout=60)
+            assert result.synthesized
+            assert len(bf._INTERN) > base
+            del inst, result
+            gc.collect()
+            assert len(bf._INTERN) == base

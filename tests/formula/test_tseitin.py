@@ -125,9 +125,40 @@ def test_tseitin_equivalence_property(expr):
 
 
 class TestIncrementalMemo:
-    """The encoder's id-keyed cache is structural (expressions are
+    """The encoder's node-keyed cache is structural (expressions are
     hash-consed): a session that keeps one encoder alive re-encodes only
     nodes it has never seen."""
+
+    def test_dropped_and_rebuilt_expressions_stay_correct(self):
+        """Expressions built, encoded and dropped in turn: freed nodes
+        hand their ids to new ones, which an ``id()``-keyed memo would
+        mistake for the old nodes.  Every encoding must stay right."""
+        import random
+
+        rng = random.Random(3)
+        cnf = CNF(num_vars=4)
+        enc = TseitinEncoder(cnf)
+
+        def build():
+            ops = [bf.and_, bf.or_, bf.xor]
+            lits = [bf.lit(rng.choice([1, -1]) * rng.randint(1, 4))
+                    for _ in range(4)]
+            inner = rng.choice(ops)(lits[0], lits[1])
+            return rng.choice(ops)(inner, rng.choice(ops)(lits[2], lits[3]))
+
+        for _ in range(40):
+            expr = build()
+            out = enc.encode(expr)
+            wants = [expr.evaluate(alpha)
+                     for alpha, _ in _assignments(range(1, 5))]
+            del expr
+            solver = Solver(cnf)
+            for want, (_, assumptions) in zip(wants,
+                                              _assignments(range(1, 5))):
+                assert (solver.solve(assumptions=assumptions + [out])
+                        == SAT) == want
+                assert (solver.solve(assumptions=assumptions + [-out])
+                        == SAT) != want
 
     def test_repaired_candidate_reencodes_only_beta(self):
         cnf = CNF(num_vars=4)

@@ -9,11 +9,16 @@ scripts (interleaved ``add_clause`` / ``new_group`` / ``release_group``
 / ``solve`` spanning SAT, UNSAT, and budget-exhausted regimes) and
 replays each script against every installed backend, checking each
 answer **against the formula itself** rather than against another
-backend's opinion:
+backend's opinion.  The scripts also run the per-call pattern of
+Fu–Malik on a live session (:func:`repro.maxsat.fu_malik_on`): open a
+group, reserve variables, add clauses over them to the group, solve
+under assumptions, release the group, then fix the reserved variables
+at level 0.  The checks are:
 
 * a definitive verdict must match a fresh reference solve over the
   script's live clause set at that point;
-* a model must assign every problem variable (and nothing else),
+* a model must assign every problem and reserved variable (and
+  nothing else),
   satisfy every live clause, and agree with the assumptions;
 * a core must be a subset of the assumptions whose conjunction with the
   live clauses is genuinely UNSAT;
@@ -47,25 +52,32 @@ ALT_BACKENDS = [name for name in available_backends() if name != "python"]
 # ----------------------------------------------------------------------
 # script generation
 # ----------------------------------------------------------------------
+def signed(rng, variables):
+    return tuple(v if rng.random() < 0.5 else -v for v in variables)
+
+
 def make_script(seed):
     """A seeded incremental script: ``(num_vars, ops)``.
 
     Ops reference groups by *creation index* so the same script replays
-    against backends whose group handles differ.  Budgets are chosen so
-    the corpus as a whole exercises SAT, UNSAT, and budget-exhausted
-    outcomes (asserted by ``test_script_corpus_covers_all_regimes``).
+    against backends whose group handles differ.  A reserved variable
+    is named by its *script id* ``num_vars + k`` for the k-th reservation;
+    :func:`replay` maps it to the id the backend hands out.  Budgets are
+    chosen so the corpus as a whole exercises SAT, UNSAT, and
+    budget-exhausted outcomes (asserted by
+    ``test_script_corpus_covers_all_regimes``).
     """
     rng = random.Random(seed)
     num_vars = rng.randint(4, 12)
     ops = []
     created = 0
+    reserved = 0
     live = []
     for _ in range(rng.randint(10, 30)):
         r = rng.random()
         if r < 0.45:
             width = rng.choice([1, 2, 3, 3])
-            vs = rng.sample(range(1, num_vars + 1), width)
-            lits = tuple(v if rng.random() < 0.5 else -v for v in vs)
+            lits = signed(rng, rng.sample(range(1, num_vars + 1), width))
             target = rng.choice(live) if live and rng.random() < 0.5 \
                 else None
             ops.append(("clause", lits, target))
@@ -75,6 +87,27 @@ def make_script(seed):
             created += 1
         elif r < 0.70 and live:
             ops.append(("release", live.pop(rng.randrange(len(live)))))
+        elif r < 0.78:
+            # One Fu–Malik-style call: the group and the reserved
+            # variables are used by this call only.
+            group = created
+            created += 1
+            ops.append(("group", group))
+            fresh = []
+            for _ in range(rng.randint(1, 3)):
+                reserved += 1
+                fresh.append(num_vars + reserved)
+                ops.append(("reserve", num_vars + reserved))
+            for _ in range(rng.randint(1, 4)):
+                vs = rng.sample(range(1, num_vars + 1), rng.randint(0, 2))
+                ops.append(("clause", signed(rng, vs + [rng.choice(fresh)]),
+                            group))
+            vs = rng.sample(range(1, num_vars + 1), rng.randint(0, 2))
+            vs += rng.sample(fresh, rng.randint(1, len(fresh)))
+            ops.append(("solve", signed(rng, vs), None, False))
+            ops.append(("release", group))
+            for v in fresh:
+                ops.append(("clause", (-v,), None))
         else:
             k = rng.randint(0, min(3, num_vars))
             assumptions = tuple(
@@ -87,8 +120,9 @@ def make_script(seed):
     return num_vars, ops
 
 
-def live_clause_log(ops):
-    """Per-solve ground truth: ``(live_clauses, assumptions, budgeted)``.
+def live_clause_log(num_vars, ops):
+    """Per-solve ground truth: ``(live_clauses, assumptions, budgeted,
+    num_vars)``, the last counting the variables reserved so far.
 
     Tracked independently of any backend, straight from the script.
     """
@@ -97,7 +131,9 @@ def live_clause_log(ops):
     live = set()
     log = []
     for op in ops:
-        if op[0] == "clause":
+        if op[0] == "reserve":
+            num_vars = op[1]
+        elif op[0] == "clause":
             _, lits, target = op
             bucket = permanent if target is None else group_clauses[target]
             bucket.append(lits)
@@ -111,21 +147,30 @@ def live_clause_log(ops):
             for g in sorted(live):
                 clauses.extend(group_clauses[g])
             log.append((clauses, list(op[1]),
-                        op[2] is not None or op[3]))
+                        op[2] is not None or op[3], num_vars))
     return log
 
 
 def replay(backend_name, num_vars, ops):
-    """Run the script; returns one ``(status, model, core)`` per solve."""
+    """Run the script; returns one ``(status, model, core)`` per solve,
+    in script variable ids."""
     backend = make_backend(backend_name)
     backend.ensure_vars(num_vars)
     handles = {}
+    to_backend = {v: v for v in range(1, num_vars + 1)}
     results = []
+
+    def mapped(lits):
+        return [to_backend[l] if l > 0 else -to_backend[-l] for l in lits]
+
     for op in ops:
-        if op[0] == "clause":
+        if op[0] == "reserve":
+            to_backend[op[1]] = backend.reserve_var()
+        elif op[0] == "clause":
             _, lits, target = op
             backend.add_clause(
-                lits, group=None if target is None else handles[target])
+                mapped(lits),
+                group=None if target is None else handles[target])
         elif op[0] == "group":
             handles[op[1]] = backend.new_group()
         elif op[0] == "release":
@@ -133,13 +178,17 @@ def replay(backend_name, num_vars, ops):
         else:
             _, assumptions, budget, expired = op
             status = backend.solve(
-                assumptions=list(assumptions), conflict_budget=budget,
+                assumptions=mapped(assumptions), conflict_budget=budget,
                 deadline=Deadline(0.0) if expired else None)
-            results.append((
-                status,
-                dict(backend.model) if status == SAT else None,
-                list(backend.core) if status == UNSAT else None,
-            ))
+            to_script = {b: v for v, b in to_backend.items()}
+            model = core = None
+            if status == SAT:
+                model = {to_script.get(v, -v): value
+                         for v, value in backend.model.items()}
+            elif status == UNSAT:
+                core = [to_script[l] if l > 0 else -to_script[-l]
+                        for l in backend.core]
+            results.append((status, model, core))
     return results
 
 
@@ -185,13 +234,13 @@ def run_differential(backend_name):
     statuses = set()
     for seed in range(ITERATIONS):
         num_vars, ops = make_script(seed)
-        log = live_clause_log(ops)
+        log = live_clause_log(num_vars, ops)
         results = replay(backend_name, num_vars, ops)
         assert len(results) == len(log)
-        for idx, (outcome, (clauses, assumptions, budgeted)) \
+        for idx, (outcome, (clauses, assumptions, budgeted, total)) \
                 in enumerate(zip(results, log)):
             check_outcome(outcome, clauses, assumptions, budgeted,
-                          num_vars, "%s seed=%d solve#%d"
+                          total, "%s seed=%d solve#%d"
                           % (backend_name, seed, idx))
             statuses.add(outcome[0])
     return statuses

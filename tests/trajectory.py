@@ -43,7 +43,7 @@ FALSE_SHA256 = \
 
 #: Digest of the whole ``small`` suite (built with seed 0, engine seed 5).
 SMALL_SUITE_SHA256 = \
-    "22f5d2a68f204f33459ce37e0f2b2013130c0953dba4cd1cf3fe997ddc2942a3"
+    "37ea1604b34c9ce5bb23350a85ec5f31dd3fbc1a7323e02bc5ab652bb7303c05"
 
 #: ``small``-suite instances in the engine cases.  Under the old
 #: address-based ``BoolExpr`` hash, ``pec_n20_..._s17`` ended SYNTHESIZED
