@@ -5,9 +5,15 @@ Mirrors the paper implementation's use of preprocessing before learning:
 * **Unates** (inherited from Manthan): if flipping ``yi`` from 0 to 1 can
   never falsify ϕ (positive unate), the constant function 1 is a correct
   Henkin function for ``yi`` (constants trivially satisfy any dependency
-  set); dually for negative unates.  Each check is one SAT call on a
-  two-cofactor formula, and fixed units are added to the working matrix
-  so later checks benefit.
+  set); dually for negative unates.  Fixed units are added to the
+  working matrix so later checks benefit.  The session-free reference
+  decides each check with one SAT call on a two-cofactor formula that
+  encodes ``¬ϕ`` whole; the engine's matrix session decides it one
+  clause at a time (:meth:`~repro.core.sessions.MatrixSession.
+  unate_check`): only a clause holding the literal ``yi=v`` makes false
+  can be false under ``yi=v`` while the other cofactor holds, so the
+  check is one assumption query per such clause on the solver over ϕ,
+  with no second copy of the variables.
 * **Unique definitions** (the UNIQUE component): syntactic gate matching
   first, then Padoa's method + truth-table extraction for small
   dependency sets.  A gate definition is accepted when its *grounded
@@ -74,13 +80,12 @@ def detect_unates(instance, deadline=None, rng=None, matrix_session=None,
     are committed to a working copy of the matrix so subsequent checks
     see them (order-dependent, as in Manthan).
 
-    With ``matrix_session`` each check is one assumption query on the
-    session's :class:`~repro.core.sessions.DualRail` — a solver of its
-    own, built on the first check, holding ``ϕ``, the units and ``¬ϕ``
-    over a primed copy, which stands in for the cofactor construction.
-    Fixed values are committed to the session as permanent units (on
-    the session solver and the dual rail alike) — the session-side
-    equivalent of the working copy.
+    With ``matrix_session`` each check runs on the session solver over
+    ``ϕ``, one assumption query per matrix clause that holds the literal
+    ``yi=v`` makes false (see :meth:`~repro.core.sessions.MatrixSession.
+    unate_check` for why that decides the cofactor formula).  Fixed
+    values are committed to the session as permanent units — the
+    session-side equivalent of the working copy.
 
     ``out`` (a dict) is an optional in-place accumulator: unates found
     before the deadline expires survive the unwind.
@@ -236,11 +241,9 @@ def preprocess(instance, config, deadline=None, rng=None,
     """Run the configured preprocessing passes; returns
     :class:`PreprocessOutcome`.
 
-    ``matrix_session`` routes the unate checks through the session's
-    dual-rail solver, which is dropped here the moment the unate pass
-    ends — even when that pass unwinds on an expired deadline.  The
-    session solver the verify–repair loop queries never held the dual
-    rail's clauses or variables; it keeps only the committed units.
+    ``matrix_session`` routes the unate checks through the session
+    solver; what they leave there is the committed units and nothing
+    else.
 
     ``fixed`` / ``stats`` are optional in-place accumulators: when the
     deadline expires mid-pass, everything fixed up to that point is
@@ -259,10 +262,6 @@ def preprocess(instance, config, deadline=None, rng=None,
         finally:
             fixed.update(unates)
             stats["unates"] = len(unates)
-            if matrix_session is not None:
-                matrix_session.retire_dual()
-    elif matrix_session is not None:
-        matrix_session.retire_dual()
     if config.use_unique_extraction:
         # The unique pass gets its own accumulator: ``input_ok`` treats
         # membership in its dict as "accepted definition", which must

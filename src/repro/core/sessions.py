@@ -6,24 +6,32 @@ discarding learnt clauses, VSIDS activity, and phase state each time.
 This module keeps **two long-lived solver sessions** per engine run
 instead (MiniSat-style incremental solving under assumptions):
 
-* :class:`VerifierSession` — one persistent solver for the error
-  formula ``E(X, Y') = ¬ϕ ∧ ⋀(y ↔ f_y)``.  ``¬ϕ`` is encoded once,
-  permanently; each ``y ↔ f_y`` link lives in its own solver clause
-  group.  When repair replaces ``f_y``, only that group is released and
-  the new candidate's *new* subtree is encoded — the shared encoder's
+* :class:`VerifierSession` — one persistent solver holding only the
+  candidate links ``⋀(y ↔ f_y)``, each in its own solver clause group.
+  When repair replaces ``f_y``, only that group is released and the new
+  candidate's *new* subtree is encoded — the shared encoder's
   structural memo reuses every Tseitin variable of the untouched parts.
+  ``¬ϕ`` is never encoded: ``E(X, Y') = ¬ϕ ∧ ⋀(y ↔ f_y)`` is decided
+  one matrix clause at a time.  ``¬ϕ`` is the disjunction over clauses
+  ``c`` of ``¬c``, so E is SAT iff some ``¬c ∧ ⋀(y ↔ f_y)`` is SAT, and
+  each of those is one assumption query (``[-l for l in c]``).  The
+  first SAT model falsifies ``c``, so it is a model of E; E is UNSAT
+  only when every query answered UNSAT.
 * :class:`MatrixSession` — one persistent solver over ``ϕ`` shared by
   every assumption-driven matrix oracle: the verification extension
-  check, ``repair_iteration``'s per-candidate ``Gk`` checks, and
+  check, ``repair_iteration``'s per-candidate ``Gk`` checks,
   ``FindCandi``'s MaxSAT calls (Fu–Malik on the session solver, with
   ``σ[X]`` as assumptions; each call's relaxation clauses sit in one
   clause group that the call releases, and the variables it reserved
-  are fixed at level 0).  So every query decides only variables that
-  are still live.  Preprocessing's unate checks need ``¬ϕ`` over a
-  second variable copy; that *dual rail* (primed copy + per-variable
-  equality selectors) gets its own solver (:class:`DualRail`), built on
-  the first unate check and dropped the moment preprocessing ends, so
-  none of its variables ever reaches the session solver.
+  are fixed at level 0), and preprocessing's unate checks.  A unate
+  check asks whether ``ϕw|_{y=¬v} ∧ ¬ϕ|_{y=v}`` is satisfiable (``ϕw``
+  is ``ϕ`` plus the committed units, none of which is on ``y``).  With
+  ``ℓ = (¬y if v else y)``, the literal ``y=v`` makes false, only a
+  clause ``c ∋ ℓ`` can be false under ``y=v``: a clause without ``y``
+  has the same value under both cofactors, and a clause with ``¬ℓ`` is
+  true under ``y=v``.  So the check is SAT iff some such ``c`` has
+  ``ϕw ∧ ℓ ∧ ¬(c∖ℓ)`` SAT — again one assumption query per clause,
+  and the session solver never holds a variable outside ``ϕ``.
 
 Both sessions expose ``stats()`` so the engine can report per-oracle
 call/conflict/encode-reuse counters.  They are the engine's only
@@ -46,20 +54,18 @@ committed units, the hash-consed candidate exprs — so on failure they
 walk ``Manthan3Config.sat_backend_fallbacks``, construct the next
 backend in the chain, replay their permanent state, and run the
 interrupted query again from its start (a whole ``FindCandi`` call, a
-whole unate check).  The failed solver's RNG object is carried over, so
-a backend that dies before consuming randomness hands the unconsumed
-stream to its replacement.  Failovers are counted per session and
-surface under ``stats["oracle"]["failovers"]``.
+whole E-check, a whole unate check).  The failed solver's RNG object is
+carried over, so a backend that dies before consuming randomness hands
+the unconsumed stream to its replacement.  Failovers are counted per
+session and surface under ``stats["oracle"]["failovers"]``.
 """
 
-from repro.formula.tseitin import SolverSink, TseitinEncoder, \
-    negated_cnf_expr
+from repro.formula.tseitin import SolverSink, TseitinEncoder
 from repro.sat.backend import BackendUnavailableError, make_backend
-from repro.sat.solver import UNSAT
+from repro.sat.solver import UNKNOWN, UNSAT
 from repro.utils.rng import spawn
 
-__all__ = ["DualRail", "MatrixSession", "VerifierSession",
-           "build_sessions"]
+__all__ = ["MatrixSession", "VerifierSession", "build_sessions"]
 
 #: Backend failures a session recovers from by rebuilding on the
 #: fallback chain.  Everything else propagates unchanged.
@@ -88,8 +94,26 @@ def build_sessions(ctx):
                     ("verifier", ctx.verifier_session)]
 
 
+def _solve_each(solver, queries, deadline):
+    """Run assumption ``queries`` in order until one is not UNSAT.
+
+    Returns ``UNSAT`` only when every query answered ``UNSAT``;
+    otherwise the first other answer — ``SAT`` with the solver's model
+    standing, or ``UNKNOWN``, also when ``deadline`` expires between
+    queries.
+    """
+    for assumptions in queries:
+        if deadline is not None and deadline.expired():
+            return UNKNOWN
+        status = solver.solve(assumptions=assumptions, deadline=deadline)
+        if status != UNSAT:
+            return status
+    return UNSAT
+
+
 class VerifierSession:
-    """Persistent E-solver across verification rounds.
+    """Persistent E-solver across verification rounds: the candidate
+    links, with ``¬ϕ`` decided clause by clause (see :meth:`solve`).
 
     Parameters
     ----------
@@ -117,13 +141,10 @@ class VerifierSession:
         self._install(backend, rng)
 
     def _install(self, backend, rng):
-        """(Re)build the solver and its permanent ``¬ϕ`` encoding."""
+        """(Re)build the solver; it holds no clause until :meth:`sync`."""
         self.solver = make_backend(backend, rng=rng)
         self.solver.ensure_vars(self.instance.matrix.num_vars)
-        self._sink = SolverSink(self.solver)
-        self.encoder = TseitinEncoder(self._sink)
-        # ¬ϕ never changes: encode it once, permanently.
-        self.encoder.assert_expr(negated_cnf_expr(self.instance.matrix))
+        self.encoder = TseitinEncoder(SolverSink(self.solver))
         self._groups = {}      # y -> live solver clause group
         self._current = {}     # y -> candidate expr currently linked
 
@@ -175,18 +196,27 @@ class VerifierSession:
             self._current[y] = expr
 
     def solve(self, candidates, deadline=None):
-        """One verification oracle call against the current candidates.
+        """One verification oracle call: is ``E`` satisfiable under the
+        current candidates?
+
+        Runs one assumption query per matrix clause ``c``, in matrix
+        order, asking for ``¬c`` under the links.  Returns ``SAT`` at
+        the first model (:attr:`model` is a model of E), ``UNSAT`` only
+        when every query answered ``UNSAT``, and ``UNKNOWN`` as soon as
+        a query does or ``deadline`` expires between queries.
 
         Backend failure anywhere in the call — during the incremental
-        re-link or inside the solve itself — triggers a failover and a
-        full retry: the rebuilt solver re-links every candidate, then
-        the query runs again.
+        re-link or inside any query — triggers a failover and a full
+        retry: the rebuilt solver re-links every candidate, then the
+        clause queries run again from the first.
         """
         while True:
             try:
                 self.sync(candidates)
                 self.calls += 1
-                return self.solver.solve(deadline=deadline)
+                return _solve_each(self.solver, (
+                    [-l for l in clause]
+                    for clause in self.instance.matrix.clauses), deadline)
             except _ORACLE_FAILURES as exc:
                 self._failover(exc)
 
@@ -207,52 +237,13 @@ class VerifierSession:
         }
 
 
-class DualRail:
-    """The unate checks' own solver: ``ϕ``, the committed units, and
-    ``¬ϕ`` over a primed variable copy.
-
-    For every matrix variable ``v`` there is a primed twin ``v'`` and an
-    equality selector ``e_v`` with ``e_v → (v ↔ v')``; ``¬ϕ`` over the
-    primed variables is Tseitin-encoded to the literal ``neg_out``.  A
-    unate check is then a single assumption query — no formula
-    construction per check.
-    """
-
-    def __init__(self, matrix, units, backend, rng=None):
-        self.solver = solver = make_backend(backend, matrix, rng=rng)
-        for literal in units:
-            solver.add_clause((literal,))
-        variables = range(1, matrix.num_vars + 1)
-        self.prime = {v: solver.reserve_var() for v in variables}
-        self.eq = {v: solver.reserve_var() for v in variables}
-        for v in variables:
-            vp, ev = self.prime[v], self.eq[v]
-            solver.add_clause((-ev, -v, vp))
-            solver.add_clause((-ev, v, -vp))
-        encoder = TseitinEncoder(SolverSink(solver))
-        self.neg_out = encoder.encode(
-            negated_cnf_expr(matrix.relabeled(self.prime)))
-
-    def solve(self, y, positive, deadline=None):
-        """Is ``ϕw|_{y=¬v} ∧ ¬(ϕw|_{y=v})`` satisfiable?  (``v =
-        positive``; ``ϕw`` is ``ϕ`` plus the units, which the primed
-        side sees through the assumed equality selectors.)"""
-        assumptions = [self.neg_out]
-        assumptions += [e for v, e in self.eq.items() if v != y]
-        if positive:
-            assumptions += [-y, self.prime[y]]
-        else:
-            assumptions += [y, -self.prime[y]]
-        return self.solver.solve(assumptions=assumptions, deadline=deadline)
-
-
 class MatrixSession:
     """One persistent solver over ``ϕ`` for every matrix-side oracle.
 
     The extension check and the ``Gk`` repair checks are assumption
     queries against ``ϕ`` (:meth:`solve`); ``FindCandi`` runs Fu–Malik
-    on the same solver through :meth:`run`.  Unate checks run on a
-    :class:`DualRail` of their own; see :meth:`unate_check`.
+    on the same solver through :meth:`run`, and so does each unate
+    check (:meth:`unate_check`).
 
     Unate constants found during preprocessing are committed with
     :meth:`add_unit` — sound for every later query because a unate
@@ -268,34 +259,24 @@ class MatrixSession:
         self.failovers = 0
         self._retired_conflicts = 0
         self._units = []       # committed units, replayed on failover
-        self._dual = None      # the unate checks' DualRail, while live
         self.calls = {}
         self._install(backend, rng)
 
     def _install(self, backend, rng):
         """(Re)build the solver: ``ϕ`` plus every committed unit."""
-        self.backend = backend
         self.solver = make_backend(backend, self.matrix, rng=rng)
         for literal in self._units:
             self.solver.add_clause((literal,))
 
-    def _bank(self, solver):
-        """Fold a solver's conflicts into the session's running total
-        before the solver is dropped (a dead backend may not answer)."""
-        try:
-            self._retired_conflicts += solver.stats()["conflicts"]
-        except Exception:
-            pass
-
     def _failover(self, exc):
         """Swap the dead backend for the next one in the fallback chain,
         carrying over the session solver's RNG object and banking its
-        conflicts; see :meth:`VerifierSession._failover`.  The dual rail
-        is dropped too; the next :meth:`unate_check` rebuilds it on the
-        new backend."""
+        conflicts; see :meth:`VerifierSession._failover`."""
         rng = getattr(self.solver, "rng", None)
-        self._bank(self.solver)
-        self.retire_dual()
+        try:
+            self._retired_conflicts += self.solver.stats()["conflicts"]
+        except Exception:
+            pass
         while self._fallbacks:
             name = self._fallbacks.pop(0)
             try:
@@ -342,14 +323,11 @@ class MatrixSession:
 
         The unit is recorded before it reaches a solver, so a failover
         mid-add still replays it — ``_install`` asserts the full
-        committed list on the replacement backend, and so does the next
-        :class:`DualRail` built.
+        committed list on the replacement backend.
         """
         self._units.append(literal)
         try:
             self.solver.add_clause((literal,))
-            if self._dual is not None:
-                self._dual.solver.add_clause((literal,))
         except _ORACLE_FAILURES as exc:
             self._failover(exc)
 
@@ -357,31 +335,27 @@ class MatrixSession:
         """Is ``ϕw|_{y=¬v} ∧ ¬(ϕw|_{y=v})`` UNSAT?  (``v = positive``.)
 
         ``ϕw`` is ``ϕ`` plus the units committed so far, which matches
-        the session-free cofactor check's working-matrix semantics.  The
-        first check builds the :class:`DualRail` on the session's
-        backend.  Returns ``True`` only on a definitive UNSAT (an
-        exhausted budget is *not* unate, as in the cofactor check).
+        the session-free cofactor check's working-matrix semantics.
+        ``y`` is never among the units, so with ``ℓ = (¬y if v else
+        y)`` the check runs one query ``ϕw ∧ ℓ ∧ ¬(c∖ℓ)`` per matrix
+        clause ``c ∋ ℓ`` (a clause also holding ``¬ℓ`` is true under
+        ``y=v`` and is skipped), all inside one :meth:`run`, so a
+        failover reruns the whole check.  Returns ``True`` only when
+        every query answered UNSAT (an exhausted budget, or a deadline
+        expiring between queries, is *not* unate, as in the cofactor
+        check); a ``y`` with no clause ``c ∋ ℓ`` needs no query.
         """
-        def query(_):
-            if self._dual is None:
-                self._dual = DualRail(self.matrix, self._units,
-                                      self.backend,
-                                      rng=getattr(self.solver, "rng", None))
-            return self._dual.solve(y, positive, deadline=deadline)
+        lit = -y if positive else y
+        queries = [[lit] + [-l for l in c if l != lit]
+                   for c in self.matrix.clauses
+                   if lit in c and -lit not in c]
 
-        return self.run("unate", query) == UNSAT
-
-    def retire_dual(self):
-        """Drop the unate checks' solver once preprocessing is over."""
-        if self._dual is not None:
-            self._bank(self._dual.solver)
-            self._dual = None
+        return self.run("unate", lambda solver: _solve_each(
+            solver, queries, deadline) == UNSAT)
 
     def stats(self):
         out = {"calls_%s" % k: v for k, v in sorted(self.calls.items())}
-        conflicts = self.solver.stats()["conflicts"] + self._retired_conflicts
-        if self._dual is not None:
-            conflicts += self._dual.solver.stats()["conflicts"]
-        out["conflicts"] = conflicts
+        out["conflicts"] = \
+            self.solver.stats()["conflicts"] + self._retired_conflicts
         out["failovers"] = self.failovers
         return out

@@ -11,6 +11,16 @@ The engine passes its sessions: ``session`` is a long-lived
 repaired candidates, and ``matrix_session`` answers the extension check
 by assumptions against its persistent ϕ-solver.
 
+The session decides E one matrix clause at a time instead of encoding
+``¬ϕ``: ``¬ϕ = ⋁_c ¬c``, so E is SAT iff ``¬c ∧ (Y' ↔ f)`` is SAT for
+some clause ``c`` of ϕ, and each of those is an assumption query (the
+negated literals of ``c``) against the links alone.  The first SAT
+model falsifies its clause, so it is a model of E; ``VALID`` needs every
+query to answer UNSAT, and a query without an answer, or a deadline
+that expires between queries, raises instead.  The session-free path
+below keeps the monolithic ``¬ϕ`` of :func:`build_verification_cnf`, so
+the engine and its reference decide E by different formulations.
+
 Simulate, then SAT.  Line 10 needs *some* model of E, and every X
 assignment on which the candidates break ϕ is one.  Given the
 composition ``order`` and the run's evaluation program, the session
@@ -19,7 +29,7 @@ uniform X patterns drawn from ``rng`` (:func:`simulate`) and takes the
 lowest failing row as δ; the SAT verifier is asked only when no row
 fails — the random-simulation filter of combinational equivalence
 checking (Mishchenko et al., ICCAD 2006).  ``VALID`` still comes only
-from an UNSAT answer.
+from UNSAT answers.
 
 Called without sessions, each round Tseitin-encodes the whole vector
 and builds throwaway solvers, with no simulation — the session-free

@@ -66,6 +66,48 @@ class TestVerifierSessionFailover:
         with pytest.raises(BackendUnavailableError):
             session.solve({2: bf.var(1)})
 
+    @pytest.mark.parametrize("candidate3, status, queries", [
+        (bf.not_(bf.var(1)), UNSAT, 4),
+        (bf.var(1), SAT, 3)])
+    def test_fault_inside_clause_loop_reruns_whole_check(
+            self, candidate3, status, queries, monkeypatch):
+        """The E-check is one query per matrix clause.  A fault at the
+        third query fails over, and the rebuilt solver runs the queries
+        again from the first clause, ending where a fault-free session
+        ends."""
+        # y2 ↔ x1, y3 ↔ ¬x1: with y3 = x1 the third clause is false.
+        inst = make([1], {2: [1], 3: [1]},
+                    [[-2, 1], [2, -1], [-3, -1], [3, 1]])
+        candidates = {2: bf.var(1), 3: candidate3}
+        monkeypatch.delenv(PLAN_ENV, raising=False)
+        clean = VerifierSession(inst, rng=1)
+        assert clean.solve(candidates) == status
+        solves = count_solves(monkeypatch)
+        monkeypatch.setenv(PLAN_ENV, "solve@3=unavailable")
+        session = VerifierSession(inst, rng=1, backend="faulty:python",
+                                  fallbacks=["python"])
+        assert session.solve(candidates) == status
+        assert session.model == clean.model
+        assert session.failovers == 1
+        # Two queries before the fault, then the loop again from the top.
+        assert solves == [2 + queries]
+
+
+def count_solves(monkeypatch):
+    """Count reference-solver ``solve`` calls from here on; returns a
+    one-element list holding the running count."""
+    from repro.sat.solver import Solver
+
+    count = [0]
+    real = Solver.solve
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "solve", counting)
+    return count
+
 
 class TestMatrixSessionFailover:
     UNATE_CASES = [
@@ -82,8 +124,36 @@ class TestMatrixSessionFailover:
                                 fallbacks=["python"])
         assert detect_unates(inst, matrix_session=session) \
             == detect_unates(inst)
-        assert session.failovers >= 1
+        if inst is self.UNATE_CASES[0]:
+            # ϕ = (x1 ∨ y2): no clause holds ¬y2, so y2 is positive
+            # unate without a single solver query, and nothing faults.
+            assert session.solver.calls.get("solve", 0) == 0
+            assert session.failovers == 0
+        else:
+            assert session.failovers >= 1
         assert session.stats()["failovers"] == session.failovers
+
+    def test_fault_inside_multi_clause_unate_check(self, monkeypatch):
+        """The positive check of y2 is three queries, one per clause
+        holding ¬y2; the third faults.  The session fails over and the
+        rebuilt solver reruns all three before the negative check."""
+        # ϕ = (y2 ∨ x1)(¬y2 ∨ x1)(y2 ∨ x3)(¬y2 ∨ x3)(¬y2 ∨ x4): y2 is
+        # negative unate, not positive (x4 = 0 needs y2 = 0).
+        inst = make([1, 3, 4], {2: [1, 3, 4]},
+                    [[2, 1], [-2, 1], [2, 3], [-2, 3], [-2, 4]])
+        monkeypatch.delenv(PLAN_ENV, raising=False)
+        reference = detect_unates(inst)
+        assert reference == {2: bf.FALSE}
+        queries = count_solves(monkeypatch)
+        monkeypatch.setenv(PLAN_ENV, "solve@3=unavailable")
+        session = MatrixSession(inst.matrix, backend="faulty:python",
+                                fallbacks=["python"])
+        assert detect_unates(inst, matrix_session=session) == reference
+        assert session.failovers == 1
+        # The positive check ran twice (2 + 3 queries), the negative
+        # check once (2 queries).
+        assert session.stats()["calls_unate"] == 3
+        assert queries == [2 + 3 + 2]
 
     def test_units_are_replayed_across_rebuild(self, monkeypatch):
         # The matrix CNF costs one add_clause at install time; the unit

