@@ -41,8 +41,9 @@ class Manthan3Config:
     self_substitution_max_dag:
         Size guard on the substituted expression.
     sat_backend:
-        Which :mod:`repro.sat.backend` oracle the oracle sessions
-        (:mod:`repro.core.sessions`) and the sampler run on:
+        Which :mod:`repro.sat.backend` oracle the matrix session
+        (:mod:`repro.core.sessions`), the E-checks
+        (:mod:`repro.core.verifier`) and the sampler run on:
         ``"python"`` (the reference CDCL, the default — every
         environment has it), ``"python-emulated"`` (same CDCL behind
         the generic selector-group emulation layer), or
@@ -53,10 +54,12 @@ class Manthan3Config:
     sat_backend_fallbacks:
         Backend names tried, in order, when the live oracle backend
         fails mid-run (:class:`~repro.sat.backend.BackendUnavailableError`
-        or ``MemoryError``): the failing session rebuilds on the next
-        chain entry, replays its live clause groups from the retained
-        encodings, and retries the interrupted call; each switch is
-        counted under ``stats["oracle"]["failovers"]``.  Defaults to
+        or ``MemoryError``): the failing oracle rebuilds on the next
+        chain entry — the matrix session replays ϕ and its committed
+        units, the sampler its polarity weights, and the E-check,
+        which keeps no solver, stays on that entry for the rest of the
+        run — and retries the interrupted call; each switch is counted
+        under ``stats["oracle"]["failovers"]``.  Defaults to
         ``["python"]`` — the reference backend is always present, so a
         crashed optional backend degrades instead of killing the run.
         An empty chain restores the old fail-fast behavior.

@@ -1,7 +1,7 @@
 """The first-class synthesis context: one object for all run state.
 
 Every pipeline phase (:mod:`repro.core.pipeline`) reads and writes the
-same :class:`SynthesisContext` — rng streams, oracle sessions, sampler,
+same :class:`SynthesisContext` — rng streams, oracle state, sampler,
 candidate vector, dependency tracker, order, repair bookkeeping and
 statistics — so a deadline can interrupt any phase without losing what
 earlier phases accumulated: the accumulated statistics and the
@@ -12,12 +12,12 @@ The context also owns the run's RNG discipline.  ``spawn`` consumes
 parent-RNG state, so the *sequence* of ``ctx.spawn(salt)`` calls is part
 of the engine's trajectory contract: the pipeline issues a fixed
 sequence (sampler = 1, preprocess = 2, verify = 100+iteration, repair =
-200+iteration, oracle sessions from the separate ``oracle_rng`` stream),
-and reordering it changes the pinned trajectory digest
-(``tests/trajectory.py``) — statuses *and* functions.  Within a round's
-verify stream (salt 100+iteration) the first draws are the simulation
-patterns: one ``getrandbits(SIM_WIDTH)`` per universal, in instance
-order (:func:`repro.core.verifier.simulate`).
+200+iteration, the matrix session and the E-solvers from the separate
+``oracle_rng`` stream), and reordering it changes the pinned trajectory
+digest (``tests/trajectory.py``) — statuses *and* functions.  Within a
+round's verify stream (salt 100+iteration) the first draws are the
+simulation patterns: one ``getrandbits(SIM_WIDTH)`` per universal, in
+instance order (:func:`repro.core.verifier.simulate`).
 """
 
 from repro.core.config import Manthan3Config
@@ -59,17 +59,25 @@ class SynthesisContext:
     deadline:
         The whole-run wall-clock budget every phase honors.
     rng / oracle_rng:
-        The run's root RNG and the oracle-session stream.  The oracle
-        stream is drawn at construction, before any phase spawns, so
-        the sampler/preprocess/loop streams do not depend on when the
-        sessions are built.
+        The run's root RNG and the oracle stream.  The oracle stream
+        is drawn at construction, before any phase spawns, so the
+        sampler/preprocess/loop streams do not depend on when the
+        oracles draw from it.
     stats:
         The accumulated statistics dict — lives on the context (not in
         a phase) precisely so deadline expiry cannot drop it.
-    matrix_session / verifier_session / sessions / sampler / samples:
+    matrix_session / sampler / samples:
         Oracle state: the persistent solvers (``None`` until the sample
         phase builds them), and the drawn sample set (a packed
         :class:`~repro.formula.bitvec.SampleMatrix`).
+    verifier_rng / verifier_backends / verifier_stats:
+        The E-check's state between rounds, which keeps no solver
+        (:func:`~repro.core.verifier.e_check`): the one RNG object
+        every fresh E-solver takes (``None`` until the sample phase
+        draws it), the backend chain whose first entry it runs on
+        (``sat_backend``, then ``sat_backend_fallbacks``; a failed
+        backend is dropped for the rest of the run), and its counters,
+        reported as ``stats["oracle"]["verifier"]``.
     fixed:
         Preprocessing's final functions (``{y: BoolExpr}``).
     candidates / tracker / order:
@@ -101,13 +109,17 @@ class SynthesisContext:
         self.stopwatch = Stopwatch()
         self.rng = make_rng(self.config.seed)
         # Drawn here, first, so the sampler/preprocess/loop streams
-        # spawned later do not depend on the sessions.
+        # spawned later do not depend on the oracles.
         self.oracle_rng = spawn(self.rng, 5)
         self.stats = {"samples": 0, "repair_iterations": 0,
                       "candidates_learned": 0}
         self.matrix_session = None
-        self.verifier_session = None
-        self.sessions = []
+        self.verifier_rng = None
+        self.verifier_backends = [self.config.sat_backend] + \
+            list(self.config.sat_backend_fallbacks)
+        self.verifier_stats = dict.fromkeys(
+            ("calls", "simulated", "conflicts", "failovers",
+             "encode_hits", "encode_misses"), 0)
         self.sampler = None
         self.samples = None
         self.fixed = {}

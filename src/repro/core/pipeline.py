@@ -130,10 +130,10 @@ def unit_fastpath(ctx):
 def sample(ctx):
     """Data generation (Algorithm 1, line 1).
 
-    Builds the oracle sessions first — so every oracle from here on,
-    sampler included, is session-backed — then draws the training set.
-    The draw packs straight into a column-major :class:`SampleMatrix`;
-    the learner never sees a per-sample dict.
+    Builds the matrix session and draws the E-solvers' RNG object
+    first (:func:`~repro.core.sessions.build_sessions`), then draws the
+    training set.  The draw packs straight into a column-major
+    :class:`SampleMatrix`; the learner never sees a per-sample dict.
     """
     build_sessions(ctx)
     config = ctx.config
@@ -173,6 +173,9 @@ def verify_repair(ctx):
     (σ[X], δ[Y′]) whose earlier repair modified some candidate, so the
     repairs are oscillating rather than converging.
     """
+    if ctx.matrix_session is None:
+        # A caller-prepared context that starts at this phase.
+        build_sessions(ctx)
     ctx.cex_matrix = SampleMatrix(ctx.instance.universals)
     ctx.program = EvalProgram()
     ctx.stagnation = 0
@@ -322,11 +325,11 @@ class Pipeline:
     def _result(ctx, finish):
         stats = ctx.stats
         stats["wall_time"] = ctx.stopwatch.stop()
-        if ctx.sessions:
-            oracle = {name: session.stats()
-                      for name, session in ctx.sessions}
-            failovers = sum(session.failovers
-                            for _, session in ctx.sessions)
+        if ctx.matrix_session is not None:
+            oracle = {"matrix": ctx.matrix_session.stats(),
+                      "verifier": dict(ctx.verifier_stats)}
+            failovers = ctx.matrix_session.failovers + \
+                ctx.verifier_stats["failovers"]
             if ctx.sampler is not None:
                 oracle["sampler"] = ctx.sampler.stats()
                 failovers += ctx.sampler.failovers

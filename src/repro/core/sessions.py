@@ -1,22 +1,13 @@
-"""Incremental oracle sessions: the persistent solvers behind the loop.
+"""The persistent matrix solver behind the loop, and the clause-wise
+query helper it shares with the verifier.
 
 The verify–repair loop is oracle-bound, and a fresh oracle per call
-pays full price: a new Tseitin encoding and a new CDCL solver,
-discarding learnt clauses, VSIDS activity, and phase state each time.
-This module keeps **two long-lived solver sessions** per engine run
-instead (MiniSat-style incremental solving under assumptions):
+pays full price: a new CDCL solver, discarding learnt clauses, VSIDS
+activity, and phase state each time.  Every matrix-side oracle asks
+about the same ``ϕ`` many times per run, so this module keeps **one
+long-lived solver session** over it (MiniSat-style incremental solving
+under assumptions):
 
-* :class:`VerifierSession` — one persistent solver holding only the
-  candidate links ``⋀(y ↔ f_y)``, each in its own solver clause group.
-  When repair replaces ``f_y``, only that group is released and the new
-  candidate's *new* subtree is encoded — the shared encoder's
-  structural memo reuses every Tseitin variable of the untouched parts.
-  ``¬ϕ`` is never encoded: ``E(X, Y') = ¬ϕ ∧ ⋀(y ↔ f_y)`` is decided
-  one matrix clause at a time.  ``¬ϕ`` is the disjunction over clauses
-  ``c`` of ``¬c``, so E is SAT iff some ``¬c ∧ ⋀(y ↔ f_y)`` is SAT, and
-  each of those is one assumption query (``[-l for l in c]``).  The
-  first SAT model falsifies ``c``, so it is a model of E; E is UNSAT
-  only when every query answered UNSAT.
 * :class:`MatrixSession` — one persistent solver over ``ϕ`` shared by
   every assumption-driven matrix oracle: the verification extension
   check, ``repair_iteration``'s per-candidate ``Gk`` checks,
@@ -30,68 +21,65 @@ instead (MiniSat-style incremental solving under assumptions):
   clause ``c ∋ ℓ`` can be false under ``y=v``: a clause without ``y``
   has the same value under both cofactors, and a clause with ``¬ℓ`` is
   true under ``y=v``.  So the check is SAT iff some such ``c`` has
-  ``ϕw ∧ ℓ ∧ ¬(c∖ℓ)`` SAT — again one assumption query per clause,
-  and the session solver never holds a variable outside ``ϕ``.
+  ``ϕw ∧ ℓ ∧ ¬(c∖ℓ)`` SAT — one assumption query per clause
+  (:func:`_solve_each`), and the session solver never holds a variable
+  outside ``ϕ``.
 
-Both sessions expose ``stats()`` so the engine can report per-oracle
-call/conflict/encode-reuse counters.  They are the engine's only
-oracle path; the session-free kernels (``verify_candidates`` and
-``detect_unates`` called without sessions) remain as the references
-the session tests compare against.
+The verifier's E-check (:func:`repro.core.verifier.e_check`) keeps no
+session: random simulation answers almost every round, so each check
+simulation leaves unanswered builds one fresh solver holding the
+candidate links and runs the same clause-wise loop over ``¬ϕ``.
 
-Both sessions are written against the :class:`~repro.sat.backend.
+The session exposes ``stats()`` so the engine can report per-oracle
+call/conflict counters.  It is the engine's only matrix oracle path;
+the session-free kernel (``detect_unates`` called without a session)
+remains as the reference the session tests compare against.
+
+The session is written against the :class:`~repro.sat.backend.
 SatBackend` protocol, not the concrete CDCL: ``Manthan3Config.
 sat_backend`` selects the oracle implementation (the reference
-``python`` backend by default), and everything a session touches —
+``python`` backend by default), and everything the session touches —
 groups, assumptions, cores, budgets, the ``stats()`` counters — is
 protocol surface, so an alternative backend drops in without changes
 here.
 
 Backend failure mid-run (:class:`~repro.sat.backend.
-BackendUnavailableError`, ``MemoryError``) is survivable: both
-sessions keep everything needed to rebuild — the instance/matrix, the
-committed units, the hash-consed candidate exprs — so on failure they
-walk ``Manthan3Config.sat_backend_fallbacks``, construct the next
-backend in the chain, replay their permanent state, and run the
-interrupted query again from its start (a whole ``FindCandi`` call, a
-whole E-check, a whole unate check).  The failed solver's RNG object is
-carried over, so a backend that dies before consuming randomness hands
-the unconsumed stream to its replacement.  Failovers are counted per
-session and surface under ``stats["oracle"]["failovers"]``.
+BackendUnavailableError`, ``MemoryError``) is survivable: the session
+keeps everything needed to rebuild — the matrix and the committed
+units — so on failure it walks ``Manthan3Config.sat_backend_fallbacks``,
+constructs the next backend in the chain, replays its permanent state,
+and runs the interrupted query again from its start (a whole
+``FindCandi`` call, a whole unate check).  The failed solver's RNG
+object is carried over, so a backend that dies before consuming
+randomness hands the unconsumed stream to its replacement.  Failovers
+are counted per oracle and surface under
+``stats["oracle"]["failovers"]``.
 """
 
-from repro.formula.tseitin import SolverSink, TseitinEncoder
 from repro.sat.backend import BackendUnavailableError, make_backend
 from repro.sat.solver import UNKNOWN, UNSAT
 from repro.utils.rng import spawn
 
-__all__ = ["MatrixSession", "VerifierSession", "build_sessions"]
+__all__ = ["MatrixSession", "build_sessions"]
 
-#: Backend failures a session recovers from by rebuilding on the
+#: Backend failures an oracle recovers from by moving along the
 #: fallback chain.  Everything else propagates unchanged.
 _ORACLE_FAILURES = (BackendUnavailableError, MemoryError)
 
 
 def build_sessions(ctx):
-    """Attach the run's oracle sessions to the synthesis context.
+    """Attach the run's oracle state to the synthesis context.
 
-    Builds one :class:`MatrixSession` and one :class:`VerifierSession`
-    on the configured SAT backend, seeded from the context's dedicated
-    oracle stream, so the root sampler/preprocess/loop streams are
-    untouched.
+    Builds the :class:`MatrixSession` on the configured SAT backend and
+    draws the RNG object every fresh E-solver of the run takes, both
+    from the context's dedicated oracle stream, so the root
+    sampler/preprocess/loop streams are untouched.
     """
-    backend = ctx.config.sat_backend
-    fallbacks = ctx.config.sat_backend_fallbacks
-    ctx.matrix_session = MatrixSession(ctx.instance.matrix,
-                                       rng=spawn(ctx.oracle_rng, 1),
-                                       backend=backend,
-                                       fallbacks=fallbacks)
-    ctx.verifier_session = VerifierSession(ctx.instance,
-                                           rng=spawn(ctx.oracle_rng, 2),
-                                           backend=backend,
-                                           fallbacks=fallbacks)
-    ctx.sessions = [("matrix", ctx.matrix_session),
-                    ("verifier", ctx.verifier_session)]
+    ctx.matrix_session = MatrixSession(
+        ctx.instance.matrix, rng=spawn(ctx.oracle_rng, 1),
+        backend=ctx.config.sat_backend,
+        fallbacks=ctx.config.sat_backend_fallbacks)
+    ctx.verifier_rng = spawn(ctx.oracle_rng, 2)
 
 
 def _solve_each(solver, queries, deadline):
@@ -109,132 +97,6 @@ def _solve_each(solver, queries, deadline):
         if status != UNSAT:
             return status
     return UNSAT
-
-
-class VerifierSession:
-    """Persistent E-solver across verification rounds: the candidate
-    links, with ``¬ϕ`` decided clause by clause (see :meth:`solve`).
-
-    Parameters
-    ----------
-    instance:
-        The :class:`~repro.dqbf.instance.DQBFInstance` under synthesis.
-    rng:
-        Seed or RNG for the solver's randomized heuristics (fixed for
-        the session's lifetime).
-    backend:
-        :mod:`repro.sat.backend` name of the oracle implementation.
-    fallbacks:
-        Backend names tried, in order, when the live backend fails
-        (see :meth:`_failover`); empty means fail fast.
-    """
-
-    def __init__(self, instance, rng=None, backend="python",
-                 fallbacks=()):
-        self.instance = instance
-        self._fallbacks = list(fallbacks)
-        self.failovers = 0
-        self._retired_conflicts = 0
-        self.calls = 0
-        self.simulated = 0     # rounds answered by simulation, no call
-        self.groups_released = 0
-        self._install(backend, rng)
-
-    def _install(self, backend, rng):
-        """(Re)build the solver; it holds no clause until :meth:`sync`."""
-        self.solver = make_backend(backend, rng=rng)
-        self.solver.ensure_vars(self.instance.matrix.num_vars)
-        self.encoder = TseitinEncoder(SolverSink(self.solver))
-        self._groups = {}      # y -> live solver clause group
-        self._current = {}     # y -> candidate expr currently linked
-
-    def _failover(self, exc):
-        """Swap the dead solver for the next fallback-chain backend.
-
-        The replacement inherits the dead solver's RNG object (the
-        unconsumed stream continues) and banks its conflict counter so
-        :meth:`stats` stays monotone.  Candidate links are *not*
-        replayed here — ``_install`` clears ``_current``, so the next
-        :meth:`sync` re-encodes every candidate from the retained
-        exprs.  Re-raises ``exc`` once the chain is exhausted.
-        """
-        rng = getattr(self.solver, "rng", None)
-        try:
-            self._retired_conflicts += self.solver.stats()["conflicts"]
-        except Exception:
-            pass
-        while self._fallbacks:
-            name = self._fallbacks.pop(0)
-            try:
-                self._install(name, rng)
-            except BackendUnavailableError:
-                continue
-            self.failovers += 1
-            return
-        raise exc
-
-    def sync(self, candidates):
-        """Re-assert ``y ↔ f_y`` for every candidate that changed.
-
-        Candidate expressions are hash-consed, so identity comparison
-        detects change exactly; an unchanged candidate keeps its group
-        and costs nothing.
-        """
-        for y in self.instance.existentials:
-            expr = candidates[y]
-            if self._current.get(y) is expr:
-                continue
-            old = self._groups.get(y)
-            if old is not None:
-                self.solver.release_group(old)
-                self.groups_released += 1
-            literal = self.encoder.encode(expr)
-            group = self.solver.new_group()
-            self.solver.add_clause((-y, literal), group=group)
-            self.solver.add_clause((y, -literal), group=group)
-            self._groups[y] = group
-            self._current[y] = expr
-
-    def solve(self, candidates, deadline=None):
-        """One verification oracle call: is ``E`` satisfiable under the
-        current candidates?
-
-        Runs one assumption query per matrix clause ``c``, in matrix
-        order, asking for ``¬c`` under the links.  Returns ``SAT`` at
-        the first model (:attr:`model` is a model of E), ``UNSAT`` only
-        when every query answered ``UNSAT``, and ``UNKNOWN`` as soon as
-        a query does or ``deadline`` expires between queries.
-
-        Backend failure anywhere in the call — during the incremental
-        re-link or inside any query — triggers a failover and a full
-        retry: the rebuilt solver re-links every candidate, then the
-        clause queries run again from the first.
-        """
-        while True:
-            try:
-                self.sync(candidates)
-                self.calls += 1
-                return _solve_each(self.solver, (
-                    [-l for l in clause]
-                    for clause in self.instance.matrix.clauses), deadline)
-            except _ORACLE_FAILURES as exc:
-                self._failover(exc)
-
-    @property
-    def model(self):
-        return self.solver.model
-
-    def stats(self):
-        counters = self.solver.stats()
-        return {
-            "calls": self.calls,
-            "simulated": self.simulated,
-            "conflicts": counters["conflicts"] + self._retired_conflicts,
-            "groups_released": self.groups_released,
-            "encode_hits": self.encoder.hits,
-            "encode_misses": self.encoder.misses,
-            "failovers": self.failovers,
-        }
 
 
 class MatrixSession:
@@ -270,8 +132,10 @@ class MatrixSession:
 
     def _failover(self, exc):
         """Swap the dead backend for the next one in the fallback chain,
-        carrying over the session solver's RNG object and banking its
-        conflicts; see :meth:`VerifierSession._failover`."""
+        carrying over the session solver's RNG object (the unconsumed
+        stream continues) and banking its conflicts so :meth:`stats`
+        stays monotone.  Re-raises ``exc`` once the chain is
+        exhausted."""
         rng = getattr(self.solver, "rng", None)
         try:
             self._retired_conflicts += self.solver.stats()["conflicts"]
@@ -295,10 +159,11 @@ class MatrixSession:
         query again on the rebuilt solver, which holds the same ``ϕ``
         and units — so a query must keep no solver state between
         attempts (a ``FindCandi`` call opens its clause group inside
-        ``query``).
+        ``query``).  ``calls`` counts the query once however many
+        attempts it takes; each attempt lost is a failover.
         """
+        self.calls[purpose] = self.calls.get(purpose, 0) + 1
         while True:
-            self.calls[purpose] = self.calls.get(purpose, 0) + 1
             try:
                 return query(self.solver)
             except _ORACLE_FAILURES as exc:

@@ -6,43 +6,45 @@ variables (composition is resolved at substitution time, line 19).  The
 matrix's own Y variables serve as Y′: each is tied to its candidate's
 Tseitin output, so a model δ of E directly yields δ[X] and δ[Y′].
 
-The engine passes its sessions: ``session`` is a long-lived
-:class:`~repro.core.sessions.VerifierSession` that re-encodes only
-repaired candidates, and ``matrix_session`` answers the extension check
-by assumptions against its persistent ϕ-solver.
-
-The session decides E one matrix clause at a time instead of encoding
-``¬ϕ``: ``¬ϕ = ⋁_c ¬c``, so E is SAT iff ``¬c ∧ (Y' ↔ f)`` is SAT for
-some clause ``c`` of ϕ, and each of those is an assumption query (the
-negated literals of ``c``) against the links alone.  The first SAT
-model falsifies its clause, so it is a model of E; ``VALID`` needs every
-query to answer UNSAT, and a query without an answer, or a deadline
-that expires between queries, raises instead.  The session-free path
-below keeps the monolithic ``¬ϕ`` of :func:`build_verification_cnf`, so
-the engine and its reference decide E by different formulations.
-
 Simulate, then SAT.  Line 10 needs *some* model of E, and every X
-assignment on which the candidates break ϕ is one.  Given the
-composition ``order`` and the run's evaluation program, the session
-path first evaluates the candidates and ϕ bit-parallel on ``SIM_WIDTH``
-uniform X patterns drawn from ``rng`` (:func:`simulate`) and takes the
-lowest failing row as δ; the SAT verifier is asked only when no row
-fails — the random-simulation filter of combinational equivalence
-checking (Mishchenko et al., ICCAD 2006).  ``VALID`` still comes only
-from UNSAT answers.
+assignment on which the candidates break ϕ is one.  The engine's round
+(:func:`run_verify`) first evaluates the candidates and ϕ bit-parallel,
+on the run's evaluation program, on ``SIM_WIDTH`` uniform X patterns
+(:func:`simulate`) and takes the lowest failing row as δ; the SAT
+verifier is asked only when no row fails — the random-simulation filter
+of combinational equivalence checking (Mishchenko et al., ICCAD 2006).
+``VALID`` still comes only from UNSAT answers.
 
-Called without sessions, each round Tseitin-encodes the whole vector
-and builds throwaway solvers, with no simulation — the session-free
-reference that the session tests and the Pedant-like baseline use.  The
-two SAT calls then get *independent* RNG streams spawned from ``rng`` —
-sharing one stream would make the extension check's randomness depend
-on how many branches the E-check happened to take.
+Simulation answers almost every round, so the E-check it leaves
+(:func:`e_check`) keeps no solver between rounds: each check builds one
+fresh solver holding only the links ``Y' ↔ f`` and decides E one matrix
+clause at a time instead of encoding ``¬ϕ``.  ``¬ϕ = ⋁_c ¬c``, so E is
+SAT iff ``¬c ∧ (Y' ↔ f)`` is SAT for some clause ``c`` of ϕ, and each
+of those is an assumption query (the negated literals of ``c``) against
+the links alone.  The first SAT model falsifies its clause, so it is a
+model of E; ``VALID`` needs every query to answer UNSAT, and a query
+without an answer, or a deadline that expires between queries, raises
+instead.  The extension check (line 13) is an assumption query against
+the run's :class:`~repro.core.sessions.MatrixSession`.
+
+:func:`verify_candidates` is the session-free reference that the tests
+and the Pedant-like baseline use: no simulation, and the monolithic
+``¬ϕ`` of :func:`build_verification_cnf` on throwaway solvers, so the
+engine and its reference decide E by different formulations.  Its two
+SAT calls get *independent* RNG streams spawned from ``rng`` — sharing
+one stream would make the extension check's randomness depend on how
+many branches the E-check happened to take.
 """
 
+from contextlib import suppress
+
+from repro.core.sessions import _ORACLE_FAILURES, _solve_each
 from repro.formula.bitvec import SampleMatrix, evaluate_vector_bits, \
     violated_rows
 from repro.formula.cnf import CNF
-from repro.formula.tseitin import TseitinEncoder, negated_cnf_expr
+from repro.formula.tseitin import SolverSink, TseitinEncoder, \
+    negated_cnf_expr
+from repro.sat.backend import make_backend
 from repro.sat.solver import Solver, SAT, UNSAT
 from repro.utils.errors import ResourceBudgetExceeded
 from repro.utils.rng import make_rng, spawn
@@ -56,16 +58,68 @@ def run_verify(ctx):
     """Pipeline entry: one verification round against the context.
 
     Spawns the per-iteration RNG stream (salt ``100 + iteration``, part
-    of the trajectory contract; see :mod:`repro.core.context`), which
-    the simulation patterns are drawn from, and routes through the
-    context's order, sessions, evaluation program and deadline.
+    of the trajectory contract; see :mod:`repro.core.context`) and
+    draws the simulation patterns from it.  A round simulation leaves
+    unanswered goes to :func:`e_check`; the extension check asks the
+    matrix session.  Raises :class:`ResourceBudgetExceeded` when an
+    oracle call returns no answer (the engine maps this to TIMEOUT).
     """
-    return verify_candidates(ctx.instance, ctx.candidates, order=ctx.order,
-                             rng=spawn(ctx.rng, 100 + ctx.iteration),
-                             deadline=ctx.deadline,
-                             session=ctx.verifier_session,
-                             matrix_session=ctx.matrix_session,
-                             program=ctx.program)
+    instance = ctx.instance
+    found = simulate(instance, ctx.candidates, ctx.order,
+                     spawn(ctx.rng, 100 + ctx.iteration), ctx.program)
+    if found is not None:
+        ctx.verifier_stats["simulated"] += 1
+    else:
+        found = _counterexample(instance, *e_check(ctx, ctx.candidates))
+    return _outcome(instance, found, ctx.matrix_session,
+                    purpose="extension", deadline=ctx.deadline)
+
+
+def e_check(ctx, candidates):
+    """Is ``E`` satisfiable under ``candidates``?  ``(status, model)``.
+
+    Builds one fresh solver on the run's current verifier backend
+    (``ctx.verifier_backends[0]``, taking the run's one verifier RNG
+    object), Tseitin-links every candidate, and runs one assumption
+    query per matrix clause ``c``, in matrix order, asking for ``¬c``
+    under the links.  Returns ``SAT`` at the first model (a model of
+    E), ``UNSAT`` only when every query answered ``UNSAT``, and
+    ``UNKNOWN`` as soon as a query does or ``ctx.deadline`` expires
+    between queries.
+
+    Backend failure anywhere in the check — building the solver,
+    linking, or any query — moves the run to the next backend of the
+    chain for good and reruns the whole check on a new solver; the
+    failure is re-raised once the chain is empty.  The counters in
+    ``ctx.verifier_stats`` count the check once, each move along the
+    chain as a failover, and the conflicts and encoder reuse of every
+    solver the check built.
+    """
+    instance, counters = ctx.instance, ctx.verifier_stats
+    queries = [[-l for l in clause] for clause in instance.matrix.clauses]
+    counters["calls"] += 1
+    while True:
+        encoder = None
+        try:
+            solver = make_backend(ctx.verifier_backends[0],
+                                  rng=ctx.verifier_rng)
+            solver.ensure_vars(instance.matrix.num_vars)
+            encoder = TseitinEncoder(SolverSink(solver))
+            for y in instance.existentials:
+                encoder.assert_iff(y, candidates[y])
+            return _solve_each(solver, queries, ctx.deadline), solver.model
+        except _ORACLE_FAILURES:
+            ctx.verifier_backends.pop(0)
+            if not ctx.verifier_backends:
+                raise
+            counters["failovers"] += 1
+        finally:
+            if encoder is not None:
+                counters["encode_hits"] += encoder.hits
+                counters["encode_misses"] += encoder.misses
+                # A dead backend may fail again when asked for them.
+                with suppress(*_ORACLE_FAILURES):
+                    counters["conflicts"] += solver.stats()["conflicts"]
 
 
 class VerificationOutcome:
@@ -121,59 +175,54 @@ def simulate(instance, candidates, order, rng, program):
     return sigma_x, sigma_yp
 
 
-def verify_candidates(instance, candidates, order=None, rng=None,
-                      deadline=None, session=None, matrix_session=None,
-                      program=None):
-    """Run the verification phase: find a model of E, then check it
-    extends (Algorithm 1, lines 10–16).
+def verify_candidates(instance, candidates, rng=None, deadline=None):
+    """The session-free reference round: find a model of E, then check
+    it extends (Algorithm 1, lines 10–16).
 
-    With ``session``/``matrix_session`` the oracles are incremental
-    queries against persistent solvers, and given ``order`` and
-    ``program`` (an :class:`~repro.formula.bitvec.EvalProgram`) the
-    session path tries :func:`simulate` before the E-check (a simulated
-    round counts under ``session.simulated``); without sessions
-    throwaway solvers are built (the session-free reference).  Raises
+    No simulation; throwaway solvers decide the monolithic E of
+    :func:`build_verification_cnf` and the extension check.  Raises
     :class:`ResourceBudgetExceeded` when an oracle call returns no
-    answer (the engine maps this to TIMEOUT).
+    answer.
     """
     rng = make_rng(rng)
-    found = None
-    if session is not None and program is not None:
-        found = simulate(instance, candidates, order, rng, program)
-        if found is not None:
-            session.simulated += 1
-    if found is None:
-        if session is not None:
-            status = session.solve(candidates, deadline=deadline)
-            delta = session.model
-        else:
-            e_cnf = build_verification_cnf(instance, candidates)
-            solver = Solver(e_cnf, rng=spawn(rng, 1))
-            status = solver.solve(deadline=deadline)
-            delta = solver.model
-        if status == UNSAT:
-            return VerificationOutcome("VALID")
-        if status != SAT:
-            raise ResourceBudgetExceeded("verification SAT call budget")
-        found = ({x: delta[x] for x in instance.universals},
-                 {y: delta[y] for y in instance.existentials})
-    sigma_x, sigma_yp = found
+    solver = Solver(build_verification_cnf(instance, candidates),
+                    rng=spawn(rng, 1))
+    found = _counterexample(instance, solver.solve(deadline=deadline),
+                            solver.model)
+    return _outcome(instance, found,
+                    Solver(instance.matrix, rng=spawn(rng, 2)),
+                    deadline=deadline)
 
-    # Does ϕ(X, Y) ∧ (X ↔ δ[X]) have a model?  (Algorithm 1, line 13)
-    assumptions = [x if sigma_x[x] else -x for x in instance.universals]
-    if matrix_session is not None:
-        ext_status = matrix_session.solve(
-            assumptions, purpose="extension", deadline=deadline)
-        pi = matrix_session.model
-    else:
-        ext_solver = Solver(instance.matrix, rng=spawn(rng, 2))
-        ext_status = ext_solver.solve(assumptions=assumptions,
-                                      deadline=deadline)
-        pi = ext_solver.model
+
+def _counterexample(instance, status, delta):
+    """``(σ[X], δ[Y′])`` from an answer about E; ``None`` when E is
+    UNSAT."""
+    if status == UNSAT:
+        return None
+    if status != SAT:
+        raise ResourceBudgetExceeded("verification SAT call budget")
+    return ({x: delta[x] for x in instance.universals},
+            {y: delta[y] for y in instance.existentials})
+
+
+def _outcome(instance, found, oracle, **kwargs):
+    """The round's outcome for ``found`` (``None``: E is UNSAT).
+
+    Asks ``oracle`` — a solver over ϕ, queried by assumptions with
+    ``kwargs`` — whether ``ϕ(X, Y) ∧ (X ↔ δ[X])`` has a model
+    (Algorithm 1, line 13).
+    """
+    if found is None:
+        return VerificationOutcome("VALID")
+    sigma_x, sigma_yp = found
+    ext_status = oracle.solve(
+        assumptions=[x if sigma_x[x] else -x for x in instance.universals],
+        **kwargs)
     if ext_status == UNSAT:
         return VerificationOutcome("FALSE", sigma_x=sigma_x)
     if ext_status != SAT:
         raise ResourceBudgetExceeded("extension SAT call budget")
+    pi = oracle.model
     sigma_y = {y: pi[y] for y in instance.existentials}
     return VerificationOutcome("COUNTEREXAMPLE", sigma_x=sigma_x,
                                sigma_y=sigma_y, sigma_yp=sigma_yp)

@@ -16,8 +16,8 @@ of ``f`` is reused.  The :attr:`~TseitinEncoder.hits`/
 engine's oracle stats.
 
 The target can be a plain CNF or, via :class:`SolverSink`, a live
-:class:`~repro.sat.solver.Solver` — the incremental oracle sessions
-encode straight into their persistent solvers.
+:class:`~repro.sat.solver.Solver` — the verifier's E-check encodes its
+candidate links straight into its solver.
 
 Used by the verification step (`E(X,Y') = ¬ϕ(X,Y') ∧ (Y' ↔ f)`) and by the
 certificate checker.

@@ -167,8 +167,8 @@ class Sampler:
             if deadline is not None:
                 deadline.check()
             solver = self._solver_for(i)
+            self.calls += 1
             while True:
-                self.calls += 1
                 try:
                     status = solver.solve(deadline=deadline)
                 except _ORACLE_FAILURES as exc:
@@ -191,8 +191,9 @@ class Sampler:
     def stats(self):
         """Oracle counters: calls and conflicts.
 
-        ``conflicts`` reads the live solver plus whatever solvers lost
-        to a failover had already spent.
+        ``calls`` counts draws that reached a solver, once each however
+        many failovers a draw took.  ``conflicts`` reads the live solver
+        plus whatever solvers lost to a failover had already spent.
         """
         conflicts = self._retired_conflicts
         if self._solver is not None:

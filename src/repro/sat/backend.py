@@ -1,8 +1,9 @@
 """Pluggable SAT oracle backends behind one incremental protocol.
 
-Every oracle consumer in the repo — the persistent sessions in
-:mod:`repro.core.sessions`, the Tseitin :class:`~repro.formula.tseitin.
-SolverSink` and the sampler — talks to the solver
+Every oracle consumer in the repo — the matrix session in
+:mod:`repro.core.sessions`, the E-check in :mod:`repro.core.verifier`,
+the Tseitin :class:`~repro.formula.tseitin.SolverSink` and the
+sampler — talks to the solver
 through the same narrow surface.  :class:`SatBackend` names that
 surface explicitly so the pure-Python CDCL can be swapped for a native
 solver without touching the synthesis loop:

@@ -57,9 +57,9 @@ A plan is parsed from a spec string — entries separated by ``,`` or
 
 ``FaultInjectingBackend`` reads ``REPRO_FAULT_PLAN`` from the
 environment when no plan is passed explicitly, which is how a plan
-reaches backends constructed deep inside the engine (the sessions and
-the sampler build their own oracles by name) and survives the fork into
-campaign pool workers.
+reaches backends constructed deep inside the engine (the matrix
+session, the E-check and the sampler build their own oracles by name)
+and survives the fork into campaign pool workers.
 """
 
 import os

@@ -1,8 +1,9 @@
 """Chaos layer, consumer level: failover through the fallback chain.
 
-Seeded fault plans (via ``REPRO_FAULT_PLAN``) strike the oracle
-sessions, the sampler, and the whole engine; the consumers must rebuild
-on the configured fallback chain, replay their live state, and — the
+Seeded fault plans (via ``REPRO_FAULT_PLAN``) strike the matrix
+session, the E-check, the sampler, and the whole engine; the consumers
+must rebuild on the configured fallback chain, replay their live state
+(the E-check has none: it reruns on a new solver), and — the
 acceptance property — end up **exactly** where a fault-free run ends
 up.  A fault fires *before* the inner solver consumes any randomness
 and the failover carries the solver RNG across the rebuild, so a
@@ -11,10 +12,10 @@ recovered trajectory is bit-identical to the undisturbed one.
 
 import pytest
 
-from repro.core import Manthan3, Manthan3Config, Status
+from repro.core import Manthan3, Manthan3Config, Status, SynthesisContext
 from repro.core.preprocess import detect_unates
-from repro.core.sessions import MatrixSession, VerifierSession
-from repro.core.verifier import verify_candidates
+from repro.core.sessions import MatrixSession, build_sessions
+from repro.core.verifier import build_verification_cnf, e_check
 from repro.dqbf import check_henkin_vector
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
@@ -22,7 +23,7 @@ from repro.formula.cnf import CNF
 from repro.sampling import Sampler
 from repro.sat.backend import BackendUnavailableError
 from repro.sat.faults import PLAN_ENV
-from repro.sat.solver import SAT, UNSAT
+from repro.sat.solver import SAT, UNSAT, Solver
 
 
 def make(universals, deps, clauses):
@@ -34,37 +35,63 @@ def _vector(result):
             for y, f in (result.functions or {}).items()}
 
 
-class TestVerifierSessionFailover:
+def e_context(inst, backend="faulty:python", fallbacks=("python",)):
+    """A context whose E-checks run on ``backend`` with ``fallbacks``."""
+    ctx = SynthesisContext(inst, Manthan3Config(
+        seed=1, sat_backend=backend, sat_backend_fallbacks=fallbacks))
+    build_sessions(ctx)
+    return ctx
+
+
+class TestECheckFailover:
+    """Each E-check builds a fresh solver; a failure moves the run along
+    the fallback chain for good and reruns the whole check."""
+
     def test_verdicts_survive_a_dead_backend(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "solve@1=unavailable")
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
-        session = VerifierSession(inst, rng=1, backend="faulty:python",
-                                  fallbacks=["python"])
-        for candidate, verdict in ((bf.var(1), "VALID"),
-                                   (bf.not_(bf.var(1)), "COUNTEREXAMPLE"),
-                                   (bf.var(1), "VALID")):
-            fresh = verify_candidates(inst, {2: candidate})
-            live = verify_candidates(inst, {2: candidate}, session=session)
-            assert live.verdict == fresh.verdict == verdict
-        assert session.failovers == 1
-        assert session.stats()["failovers"] == 1
+        ctx = e_context(inst)
+        for candidate, verdict in ((bf.var(1), UNSAT),
+                                   (bf.not_(bf.var(1)), SAT),
+                                   (bf.var(1), UNSAT)):
+            reference = Solver(build_verification_cnf(
+                inst, {2: candidate})).solve()
+            status, _ = e_check(ctx, {2: candidate})
+            assert status == reference == verdict
+        assert ctx.verifier_stats["failovers"] == 1
+        assert ctx.verifier_stats["calls"] == 3
+        assert ctx.verifier_backends == ["python"]
 
     def test_memory_fault_also_fails_over(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "solve@1=memory")
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
-        session = VerifierSession(inst, rng=1, backend="faulty:python",
-                                  fallbacks=["python"])
-        outcome = verify_candidates(inst, {2: bf.var(1)}, session=session)
-        assert outcome.verdict == "VALID"
-        assert session.failovers == 1
+        ctx = e_context(inst)
+        assert e_check(ctx, {2: bf.var(1)})[0] == UNSAT
+        assert ctx.verifier_stats["failovers"] == 1
 
     def test_exhausted_chain_reraises(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "solve@1=unavailable")
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
-        session = VerifierSession(inst, rng=1, backend="faulty:python",
-                                  fallbacks=[])
+        ctx = e_context(inst, fallbacks=())
         with pytest.raises(BackendUnavailableError):
-            session.solve({2: bf.var(1)})
+            e_check(ctx, {2: bf.var(1)})
+
+    def test_next_check_starts_on_the_fallback(self, monkeypatch):
+        """Every fresh ``faulty:python`` solver would fault at its first
+        query, so only a run that stays on the fallback after the first
+        failover gets through later checks without another one."""
+        monkeypatch.setenv(PLAN_ENV, "solve@1=unavailable")
+        inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
+        ctx = e_context(inst)
+        assert e_check(ctx, {2: bf.var(1)})[0] == UNSAT
+        assert ctx.verifier_stats["failovers"] == 1
+        solves = count_solves(monkeypatch)
+        for _ in range(3):
+            assert e_check(ctx, {2: bf.var(1)})[0] == UNSAT
+        assert ctx.verifier_stats["failovers"] == 1
+        assert ctx.verifier_stats["calls"] == 4
+        # Two clause queries per check, none lost to a fault.
+        assert solves == [3 * 2]
 
     @pytest.mark.parametrize("candidate3, status, queries", [
         (bf.not_(bf.var(1)), UNSAT, 4),
@@ -72,23 +99,23 @@ class TestVerifierSessionFailover:
     def test_fault_inside_clause_loop_reruns_whole_check(
             self, candidate3, status, queries, monkeypatch):
         """The E-check is one query per matrix clause.  A fault at the
-        third query fails over, and the rebuilt solver runs the queries
-        again from the first clause, ending where a fault-free session
-        ends."""
+        third query fails over, and a new solver on the fallback runs
+        the queries again from the first clause, ending where a
+        fault-free check ends."""
         # y2 ↔ x1, y3 ↔ ¬x1: with y3 = x1 the third clause is false.
         inst = make([1], {2: [1], 3: [1]},
                     [[-2, 1], [2, -1], [-3, -1], [3, 1]])
         candidates = {2: bf.var(1), 3: candidate3}
         monkeypatch.delenv(PLAN_ENV, raising=False)
-        clean = VerifierSession(inst, rng=1)
-        assert clean.solve(candidates) == status
+        clean_status, clean_model = e_check(
+            e_context(inst, backend="python"), candidates)
+        assert clean_status == status
         solves = count_solves(monkeypatch)
         monkeypatch.setenv(PLAN_ENV, "solve@3=unavailable")
-        session = VerifierSession(inst, rng=1, backend="faulty:python",
-                                  fallbacks=["python"])
-        assert session.solve(candidates) == status
-        assert session.model == clean.model
-        assert session.failovers == 1
+        ctx = e_context(inst)
+        assert e_check(ctx, candidates) == (status, clean_model)
+        assert ctx.verifier_stats["failovers"] == 1
+        assert ctx.verifier_stats["calls"] == 1
         # Two queries before the fault, then the loop again from the top.
         assert solves == [2 + queries]
 
@@ -96,8 +123,6 @@ class TestVerifierSessionFailover:
 def count_solves(monkeypatch):
     """Count reference-solver ``solve`` calls from here on; returns a
     one-element list holding the running count."""
-    from repro.sat.solver import Solver
-
     count = [0]
     real = Solver.solve
 
@@ -150,9 +175,9 @@ class TestMatrixSessionFailover:
                                 fallbacks=["python"])
         assert detect_unates(inst, matrix_session=session) == reference
         assert session.failovers == 1
-        # The positive check ran twice (2 + 3 queries), the negative
-        # check once (2 queries).
-        assert session.stats()["calls_unate"] == 3
+        # Two checks, each counted once; the positive check ran twice
+        # (2 + 3 queries), the negative check once (2 queries).
+        assert session.stats()["calls_unate"] == 2
         assert queries == [2 + 3 + 2]
 
     def test_units_are_replayed_across_rebuild(self, monkeypatch):
@@ -197,6 +222,7 @@ class TestSamplerFailover:
         stats = sampler.stats()
         assert stats["backend"] == "python"
         assert stats["failovers"] == 1
+        assert stats["calls"] == 6      # draws, not attempts
 
     def test_non_capable_chain_entries_are_skipped(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV, "solve@1=unavailable")
@@ -263,7 +289,8 @@ class TestEngineResilienceEquivalence:
                               sat_backend_fallbacks=["python"])
         matrix = recovered.stats["oracle"]["matrix"]
         assert matrix["failovers"] >= 1
-        assert matrix["calls_maxsat"] > \
+        # The faulted call ran twice but counts once, as a check.
+        assert matrix["calls_maxsat"] == \
             clean.stats["oracle"]["matrix"]["calls_maxsat"] >= 1
         assert recovered.stats["oracle"]["failovers"] >= 1
         assert recovered.status == clean.status == Status.SYNTHESIZED

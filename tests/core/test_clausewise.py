@@ -1,7 +1,7 @@
-"""Clause-wise decisions of ``¬ϕ``: the session E-check and the session
-unate check, against the monolithic references.
+"""Clause-wise decisions of ``¬ϕ``: the fresh-solver E-check and the
+session unate check, against the monolithic references.
 
-The sessions never encode ``¬ϕ``.  The E-check asks, clause by clause,
+The engine never encodes ``¬ϕ``.  The E-check asks, clause by clause,
 for a model of ``¬c ∧ (Y' ↔ f)``; the unate check asks, for each clause
 ``c ∋ ℓ``, for a model of ``ϕw ∧ ℓ ∧ ¬(c∖ℓ)``.  These tests pin both to
 the references that still encode ``¬ϕ`` whole
@@ -18,11 +18,12 @@ import pytest
 from repro.core import Manthan3Config, Pipeline, Status, SynthesisContext
 from repro.core.preprocess import _is_unate, detect_unates
 from repro.core.repair import evaluate_vector
-from repro.core.sessions import MatrixSession, VerifierSession, \
-    build_sessions
-from repro.core.verifier import build_verification_cnf, verify_candidates
+from repro.core import verifier
+from repro.core.sessions import MatrixSession, build_sessions
+from repro.core.verifier import build_verification_cnf, e_check, run_verify
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
+from repro.formula.bitvec import EvalProgram
 from repro.formula.cnf import CNF
 from repro.sat.faults import PLAN_ENV
 from repro.sat.solver import SAT, UNSAT, Solver
@@ -78,6 +79,31 @@ def falsifies(model, clause):
     return all(model[abs(l)] != (l > 0) for l in clause)
 
 
+def e_context(inst, deadline=None, **config):
+    """A context set up as the verify–repair loop sees it for the
+    :class:`TestECheckBudget` vector."""
+    ctx = SynthesisContext(inst, Manthan3Config(**config),
+                           deadline=deadline)
+    build_sessions(ctx)
+    ctx.candidates = dict(TestECheckBudget.RIGHT)
+    ctx.order = [3, 4]
+    ctx.program = EvalProgram()
+    return ctx
+
+
+def record_solvers(monkeypatch):
+    """Collect every solver the E-check builds from here on."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    real = verifier.make_backend
+    monkeypatch.setattr(verifier, "make_backend", recording)
+    return built
+
+
 class TestClausewiseECheck:
     @pytest.mark.parametrize("batch", range(BATCHES))
     def test_agrees_with_monolithic_e(self, batch):
@@ -85,20 +111,19 @@ class TestClausewiseECheck:
         composed = sat_models = 0
         for _ in range(PER_BATCH):
             inst = random_instance(rng)
-            session = VerifierSession(inst, rng=batch)
-            for _ in range(3):      # one session, re-linked per vector
+            ctx = e_context(inst, seed=batch)
+            for _ in range(3):      # one run's RNG, a new solver per check
                 candidates, order = random_vector(rng, inst)
                 composed += any(
                     candidates[y].support() - inst.dependencies[y]
                     for y in inst.existentials)
                 reference = Solver(build_verification_cnf(inst, candidates),
                                    rng=0).solve()
-                status = session.solve(candidates)
+                status, delta = e_check(ctx, candidates)
                 assert status == reference
                 if status != SAT:
                     continue
                 sat_models += 1
-                delta = session.model
                 assert any(falsifies(delta, c) for c in inst.matrix.clauses)
                 x = {v: delta[v] for v in inst.universals}
                 assert {y: delta[y] for y in inst.existentials} == \
@@ -110,10 +135,25 @@ class TestClausewiseECheck:
         # (x1 ∨ ¬x1) can never be falsified; an empty ϕ neither.
         for clauses in ([[1, -1]], [[2, 1, -2]], []):
             inst = make([1], {2: [1]}, clauses)
-            assert VerifierSession(inst).solve({2: bf.FALSE}) == UNSAT
+            assert e_check(e_context(inst), {2: bf.FALSE})[0] == UNSAT
         # An empty clause is false under every model.
         inst = make([1], {2: [1]}, [[1, 2], []])
-        assert VerifierSession(inst).solve({2: bf.TRUE}) == SAT
+        assert e_check(e_context(inst), {2: bf.TRUE})[0] == SAT
+
+    def test_each_check_builds_one_solver_of_links(self, monkeypatch):
+        """No solver outlives its check, and each holds the links only:
+        ``¬ϕ`` never reaches it, so its clauses are the Tseitin
+        definitions and two link clauses per output."""
+        inst = TestECheckBudget.INST
+        ctx = e_context(inst)
+        built = record_solvers(monkeypatch)
+        for _ in range(3):
+            assert e_check(ctx, TestECheckBudget.RIGHT)[0] == UNSAT
+        assert len(built) == 3 and len(set(map(id, built))) == 3
+        for solver in built:
+            # y3 ↔ x1 and y4 ↔ ¬x2 link straight to literals.
+            assert solver.num_vars == inst.matrix.num_vars
+            assert len(solver.clauses) == 2 * len(inst.existentials)
 
 
 class CountdownDeadline:
@@ -141,47 +181,49 @@ class TestECheckBudget:
     RIGHT = {3: bf.var(1), 4: bf.not_(bf.var(2))}
 
     def test_right_vector_is_valid(self):
-        assert verify_candidates(self.INST, self.RIGHT,
-                                 session=VerifierSession(self.INST)) \
-            .verdict == "VALID"
+        assert run_verify(e_context(self.INST)).verdict == "VALID"
 
     def test_deadline_expiring_mid_loop_raises(self):
-        session = VerifierSession(self.INST)
+        ctx = e_context(self.INST, deadline=CountdownDeadline(after=3))
         with pytest.raises(ResourceBudgetExceeded):
-            verify_candidates(self.INST, self.RIGHT, session=session,
-                              deadline=CountdownDeadline(after=3))
-        assert session.calls == 1
+            run_verify(ctx)
+        assert ctx.verifier_stats["calls"] == 1
 
     def test_unknown_query_raises(self, monkeypatch):
         """The second clause query answers UNKNOWN; the remaining ones
         would all answer UNSAT."""
         monkeypatch.setenv(PLAN_ENV, "solve@2=unknown")
-        session = VerifierSession(self.INST, backend="faulty:python")
+        ctx = e_context(self.INST, sat_backend="faulty:python")
+        built = record_solvers(monkeypatch)
         with pytest.raises(ResourceBudgetExceeded):
-            verify_candidates(self.INST, self.RIGHT, session=session)
-        assert session.solver.calls["solve"] == 2
+            run_verify(ctx)
+        [solver] = built
+        assert solver.calls["solve"] == 2
 
-    def test_deadline_mid_loop_ends_run_in_timeout(self):
+    def test_deadline_mid_loop_ends_run_in_timeout(self, monkeypatch):
         """A run deadline that expires after the first clause query of
         the E-check ends the run TIMEOUT, not SYNTHESIZED."""
-        config = Manthan3Config(seed=3, use_self_substitution=False)
         deadline = CountdownDeadline(after=10 ** 9)
-        ctx = SynthesisContext(self.INST, config, deadline=deadline)
-        build_sessions(ctx)
-        ctx.candidates = dict(self.RIGHT)
-        ctx.order = [3, 4]
-        solver = ctx.verifier_session.solver
-        real_solve = solver.solve
+        ctx = e_context(self.INST, deadline=deadline, seed=3,
+                        use_self_substitution=False)
 
-        def solve_then_trip(*args, **kwargs):
-            status = real_solve(*args, **kwargs)
-            deadline.after = 0
-            return status
+        def build_then_trip(*args, **kwargs):
+            solver = real_make_backend(*args, **kwargs)
+            real_solve = solver.solve
 
-        solver.solve = solve_then_trip
+            def solve_then_trip(*args, **kwargs):
+                status = real_solve(*args, **kwargs)
+                deadline.after = 0
+                return status
+
+            solver.solve = solve_then_trip
+            return solver
+
+        real_make_backend = verifier.make_backend
+        monkeypatch.setattr(verifier, "make_backend", build_then_trip)
         result = Pipeline(("verify_repair",)).execute(ctx)
         assert result.status == Status.TIMEOUT
-        assert ctx.verifier_session.calls == 1
+        assert ctx.verifier_stats["calls"] == 1
 
 
 class TestClausewiseUnates:

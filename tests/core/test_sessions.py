@@ -1,7 +1,7 @@
-"""Tests for the incremental oracle sessions: each session query agrees
-with the session-free reference kernel (``verify_candidates`` and
-``detect_unates`` called without sessions), and the session-backed
-engine's verdicts agree with the independent checkers.
+"""Tests for the engine's oracles: each engine round and matrix-session
+query agrees with the session-free reference kernel
+(``verify_candidates`` and ``detect_unates`` called without a session),
+and the engine's verdicts agree with the independent checkers.
 """
 
 import pytest
@@ -10,11 +10,11 @@ from repro.benchgen import (
     generate_planted_instance,
     generate_xor_chain_instance,
 )
-from repro.core import Manthan3, Manthan3Config, Status
+from repro.core import Manthan3, Manthan3Config, Status, SynthesisContext
 from repro.core.preprocess import detect_unates
 from repro.core.repair import find_repair_candidates, repair_iteration
-from repro.core.sessions import MatrixSession, VerifierSession
-from repro.core.verifier import verify_candidates
+from repro.core.sessions import MatrixSession, build_sessions
+from repro.core.verifier import run_verify, verify_candidates
 from repro.core.candidates import DependencyTracker
 from repro.dqbf import check_henkin_vector
 from repro.dqbf.instance import DQBFInstance
@@ -28,43 +28,42 @@ def make(universals, deps, clauses):
     return DQBFInstance(universals, deps, CNF(clauses))
 
 
-class TestVerifierSession:
+def loop_context(inst, candidates):
+    """A context set up as the verify–repair loop sees it."""
+    ctx = SynthesisContext(inst, Manthan3Config(seed=0))
+    build_sessions(ctx)
+    ctx.candidates = candidates
+    ctx.order = list(inst.existentials)
+    ctx.program = EvalProgram()
+    return ctx
+
+
+class TestEngineRound:
+    """``run_verify`` (simulation, the fresh E-check, the extension
+    check on the matrix session) against the session-free
+    ``verify_candidates``."""
+
     def test_verdicts_match_fresh_path(self):
         inst = make([1], {2: [1]}, [[-2, 1], [2, -1]])
-        session = VerifierSession(inst)
-        matrix = MatrixSession(inst.matrix)
+        ctx = loop_context(inst, {})
         for candidate, verdict in ((bf.var(1), "VALID"),
                                    (bf.not_(bf.var(1)), "COUNTEREXAMPLE"),
                                    (bf.var(1), "VALID")):
-            fresh = verify_candidates(inst, {2: candidate})
-            live = verify_candidates(inst, {2: candidate},
-                                     session=session, matrix_session=matrix)
-            assert fresh.verdict == live.verdict == verdict
-
-    def test_only_changed_candidates_reencode(self):
-        inst = make([1, 2], {3: [1], 4: [2]},
-                    [[-3, 1], [3, -1], [-4, 2], [4, -2]])
-        session = VerifierSession(inst)
-        session.sync({3: bf.var(1), 4: bf.var(2)})
-        released_before = session.groups_released
-        # Repair only y3; y4's group must survive untouched.
-        session.sync({3: bf.not_(bf.var(1)), 4: bf.var(2)})
-        assert session.groups_released == released_before + 1
+            ctx.candidates = {2: candidate}
+            reference = verify_candidates(inst, {2: candidate})
+            assert run_verify(ctx).verdict == reference.verdict == verdict
+        stats = ctx.verifier_stats
+        assert stats["calls"] == 2 and stats["simulated"] == 1
 
     def test_false_verdict_through_sessions(self):
         inst = make([1], {2: [1]}, [[1]])
-        session = VerifierSession(inst)
-        matrix = MatrixSession(inst.matrix)
-        outcome = verify_candidates(inst, {2: bf.TRUE}, session=session,
-                                    matrix_session=matrix)
+        outcome = run_verify(loop_context(inst, {2: bf.TRUE}))
         assert outcome.verdict == "FALSE"
         assert outcome.sigma_x == {1: False}
 
     def test_empty_existentials(self):
         inst = DQBFInstance([1], {}, CNF([[1, -1]]))
-        session = VerifierSession(inst)
-        assert verify_candidates(inst, {}, session=session).verdict == \
-            "VALID"
+        assert run_verify(loop_context(inst, {})).verdict == "VALID"
 
 
 class TestMatrixSessionUnates:
@@ -151,22 +150,20 @@ class TestRepairWithSession:
     def test_session_repair_converges(self):
         inst = make([1, 2], {3: [1, 2]},
                     [[-3, 1, 2], [3, -1], [3, -2]])       # y ↔ (x1 ∨ x2)
-        candidates = {3: bf.FALSE}
+        ctx = loop_context(inst, {3: bf.FALSE})
         tracker = DependencyTracker(inst.existentials)
-        config = Manthan3Config()
-        session = VerifierSession(inst)
-        matrix = MatrixSession(inst.matrix)
         cex_matrix = SampleMatrix(inst.universals)
-        for _ in range(10):
-            outcome = verify_candidates(inst, candidates, session=session,
-                                        matrix_session=matrix)
+        for iteration in range(10):
+            ctx.iteration = iteration
+            outcome = run_verify(ctx)
             if outcome.verdict == "VALID":
                 break
-            repair_iteration(inst, candidates, tracker, [3],
-                             outcome.sigma_x, config, matrix_session=matrix,
-                             cex_matrix=cex_matrix, program=EvalProgram())
-        assert verify_candidates(inst, candidates,
-                                 session=session).verdict == "VALID"
+            repair_iteration(inst, ctx.candidates, tracker, [3],
+                             outcome.sigma_x, ctx.config,
+                             matrix_session=ctx.matrix_session,
+                             cex_matrix=cex_matrix, program=ctx.program)
+        assert verify_candidates(inst, ctx.candidates).verdict == "VALID"
+        assert ctx.verifier_stats["calls"] >= 1
 
 
 def _run(inst, timeout=60):

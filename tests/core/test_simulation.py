@@ -6,11 +6,11 @@ import itertools
 import random
 
 from repro.benchgen import generate_planted_instance
-from repro.core import Manthan3, Manthan3Config, Status
-from repro.core import pipeline
+from repro.core import Manthan3, Manthan3Config, Status, SynthesisContext
+from repro.core import pipeline, verifier
 from repro.core.repair import evaluate_vector
-from repro.core.sessions import MatrixSession, VerifierSession
-from repro.core.verifier import simulate, verify_candidates
+from repro.core.sessions import build_sessions
+from repro.core.verifier import run_verify, simulate
 from repro.dqbf import check_henkin_vector
 from repro.dqbf.instance import DQBFInstance
 from repro.formula import boolfunc as bf
@@ -95,33 +95,40 @@ class TestSimulatedCounterexamples:
     def test_verify_candidates_reports_the_simulated_counterexample(self):
         inst = DQBFInstance([1, 2], {3: [1, 2]},
                             CNF([[-3, 1, 2], [3, -1], [3, -2]]))
-        session = VerifierSession(inst)
-        outcome = verify_candidates(inst, {3: bf.FALSE}, order=[3],
-                                    rng=7, session=session,
-                                    matrix_session=MatrixSession(inst.matrix),
-                                    program=EvalProgram())
+        ctx = loop_context(inst, {3: bf.FALSE})
+        outcome = run_verify(ctx)
         assert outcome.verdict == "COUNTEREXAMPLE"
         assert outcome.sigma_x[1] or outcome.sigma_x[2]
         assert outcome.sigma_yp == {3: False}
         assert outcome.sigma_y == {3: True}
-        assert session.stats()["simulated"] == 1
-        assert session.stats()["calls"] == 0
+        assert ctx.verifier_stats["simulated"] == 1
+        assert ctx.verifier_stats["calls"] == 0
+
+
+def loop_context(inst, candidates):
+    """A context set up as the verify–repair loop sees it."""
+    ctx = SynthesisContext(inst, Manthan3Config(seed=7))
+    build_sessions(ctx)
+    ctx.candidates = candidates
+    ctx.order = list(inst.existentials)
+    ctx.program = EvalProgram()
+    return ctx
 
 
 class SolveSpy:
-    """Records every verifier-session answer, and per verification
-    round the verdict plus the answers given during that round."""
+    """Records every E-check answer, and per verification round the
+    verdict plus the answers given during that round."""
 
     def __init__(self, monkeypatch):
         self.answers = []
         self.rounds = []
-        real_solve = VerifierSession.solve
+        real_e_check = verifier.e_check
         real_run_verify = pipeline.run_verify
 
-        def solve(session, candidates, deadline=None):
-            status = real_solve(session, candidates, deadline=deadline)
+        def e_check(ctx, candidates):
+            status, model = real_e_check(ctx, candidates)
             self.answers.append(status)
-            return status
+            return status, model
 
         def run_verify(ctx):
             start = len(self.answers)
@@ -129,7 +136,7 @@ class SolveSpy:
             self.rounds.append((outcome.verdict, self.answers[start:]))
             return outcome
 
-        monkeypatch.setattr(VerifierSession, "solve", solve)
+        monkeypatch.setattr(verifier, "e_check", e_check)
         monkeypatch.setattr(pipeline, "run_verify", run_verify)
 
 
@@ -155,14 +162,10 @@ class TestValidNeedsUnsat:
         spy = SolveSpy(monkeypatch)
         inst = DQBFInstance([1, 2], {3: [1, 2]},
                             CNF([[-3, 1, 2], [3, -1], [3, -2]]))
-        session = VerifierSession(inst)
-        outcome = verify_candidates(
-            inst, {3: bf.or_(bf.var(1), bf.var(2))}, order=[3],
-            session=session, matrix_session=MatrixSession(inst.matrix),
-            program=EvalProgram())
-        assert outcome.verdict == "VALID"
+        ctx = loop_context(inst, {3: bf.or_(bf.var(1), bf.var(2))})
+        assert run_verify(ctx).verdict == "VALID"
         assert spy.answers == [UNSAT]
-        assert session.stats()["simulated"] == 0
+        assert ctx.verifier_stats["simulated"] == 0
 
 
 class TestHardShape:
